@@ -25,13 +25,13 @@ outcome on the machine-checked invariants in
 through the campaign executor.
 """
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import RESILIENT
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Trace
+from repro.sim.monitor import Trace, nearest_rank
 
 #: trace prefixes that make up a chaos run's deterministic signature
 SIGNATURE_PREFIXES = ("fault.", "recovery.", "heal.", "egress.release")
@@ -85,17 +85,48 @@ def run_chaos_experiment(seed: int = 7, duration: float = 3.0,
     }
 
 
-def chaos_signature(trace: Trace) -> List[Tuple]:
-    """The run's deterministic signature: every fault/recovery/release
-    record, in global order, with full payloads."""
+def chaos_signature(trace: Trace,
+                    prefixes: Sequence[str] = SIGNATURE_PREFIXES
+                    ) -> List[Tuple]:
+    """The run's deterministic signature: every record under one of
+    ``prefixes``, in global order, with full payloads."""
     signature = []
     for record in trace.iter_records(""):
         if any(record.category == p.rstrip(".")
                or record.category.startswith(p)
-               for p in SIGNATURE_PREFIXES):
+               for p in prefixes):
             signature.append((round(record.time, 9), record.category,
                               tuple(sorted(record.payload.items()))))
     return signature
+
+
+def first_divergence(first: List[Tuple], second: List[Tuple]
+                     ) -> Optional[Tuple[int, Optional[Tuple],
+                                         Optional[Tuple]]]:
+    """``(index, record_a, record_b)`` at the first position where two
+    signatures differ -- a side that ran out of records reads ``None``
+    -- or ``None`` when they are identical."""
+    for index, (a, b) in enumerate(zip(first, second)):
+        if a != b:
+            return index, a, b
+    if len(first) == len(second):
+        return None
+    index = min(len(first), len(second))
+    return (index, first[index] if index < len(first) else None,
+            second[index] if index < len(second) else None)
+
+
+def replay_divergence(signature: List[Tuple],
+                      replay: List[Tuple]) -> Optional[str]:
+    """Where a same-seed replay left the primary run's signature, as
+    the one-line ``divergence`` a cell reports (``None``: identical)."""
+    found = first_divergence(signature, replay)
+    if found is None:
+        return None
+    index, a, b = found
+    if a is None or b is None:
+        return f"lengths differ: {len(signature)} vs {len(replay)}"
+    return f"record {index}: {a!r} != {b!r}"
 
 
 def determinism_check(seed: int = 7, duration: float = 3.0,
@@ -106,16 +137,8 @@ def determinism_check(seed: int = 7, duration: float = 3.0,
     second = run_chaos_experiment(seed=seed, duration=duration,
                                  schedule=schedule)
     sig_a = chaos_signature(first["sim"].trace)
-    sig_b = chaos_signature(second["sim"].trace)
-    divergence = None
-    for index, (a, b) in enumerate(zip(sig_a, sig_b)):
-        if a != b:
-            divergence = (index, a, b)
-            break
-    if divergence is None and len(sig_a) != len(sig_b):
-        shorter = min(len(sig_a), len(sig_b))
-        longer = sig_a if len(sig_a) > len(sig_b) else sig_b
-        divergence = (shorter, None, longer[shorter])
+    divergence = first_divergence(sig_a,
+                                  chaos_signature(second["sim"].trace))
     return {
         "identical": divergence is None,
         "records": len(sig_a),
@@ -316,16 +339,8 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
     result["divergence"] = None
     if check_determinism:
         _, replay = _cell_once(seed, scenario, duration, rate)
-        result["deterministic"] = signature == replay
-        if not result["deterministic"]:
-            for index, (a, b) in enumerate(zip(signature, replay)):
-                if a != b:
-                    result["divergence"] = (
-                        f"record {index}: {a!r} != {b!r}")
-                    break
-            else:
-                result["divergence"] = (
-                    f"lengths differ: {len(signature)} vs {len(replay)}")
+        result["divergence"] = replay_divergence(signature, replay)
+        result["deterministic"] = result["divergence"] is None
     result["ok"] = (not result["violations"]
                     and result["deterministic"] is not False)
     return result
@@ -372,14 +387,6 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     return summarize_chaos_campaign(executor.run())
 
 
-def _percentile(values: List[float], p: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def summarize_chaos_campaign(report) -> dict:
     """Roll a campaign report up into the BENCH/CI gate summary."""
     cells: List[dict] = []
@@ -423,14 +430,19 @@ def summarize_chaos_campaign(report) -> dict:
         "ok": not violations,
         "violations": violations,
         "nondeterministic_cells": nondeterministic,
-        "recovery_p50": _percentile(recovery, 50),
-        "recovery_p95": _percentile(recovery, 95),
+        "recovery_p50": nearest_rank(recovery, 50),
+        "recovery_p95": nearest_rank(recovery, 95),
         "recoveries": len(recovery),
         "wall_seconds": round(report.wall_seconds, 3),
         "results": cells,
         **totals,
     }
 
+
+#: campaign parameters that define a ``chaos.storm`` entry's workload
+#: (its gate ``config``): ``seeds`` is the number of storm seeds
+#: derived from ``seed_base``; ``jobs`` only schedules cells
+ENTRY_CONFIG = ("seeds", "seed_base", "scenarios", "duration", "rate")
 
 #: summary keys that become trajectory-entry metrics
 _ENTRY_METRICS = ("cells", "nondeterministic_cells", "recovery_p50",
@@ -439,33 +451,26 @@ _ENTRY_METRICS = ("cells", "nondeterministic_cells", "recovery_p50",
                   "sent", "replies", "client_retries", "wall_seconds")
 
 
-def chaos_entry(summary: dict, label: str = "head",
-                config: Optional[dict] = None) -> dict:
+def chaos_entry(summary: dict, params: dict,
+                label: str = "head") -> dict:
     """The :mod:`repro.bench` trajectory entry for a campaign summary.
 
-    The primary metric is ``replies`` -- end-to-end client service
-    under the storm -- which is fully deterministic for a fixed config,
-    so the 20 % gate only trips on real behaviour changes.
+    ``params`` holds the campaign's bench-level parameters; the
+    :data:`ENTRY_CONFIG` ones become the entry's gate ``config``.  The
+    primary metric is ``replies`` -- end-to-end client service under
+    the storm -- which is fully deterministic for a fixed config, so
+    the 20 % gate only trips on real behaviour changes.
     """
     from repro.bench.schema import make_entry
 
+    config = {key: params[key] for key in ENTRY_CONFIG}
+    config["scenarios"] = list(config["scenarios"])
     metrics = {key: summary.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(summary.get("violations", ()))
     metrics["ok"] = bool(summary.get("ok"))
     return make_entry("chaos.storm", config, metrics,
                       primary_metric="replies", label=label,
                       profile=summary.get("profile"))
-
-
-def write_chaos_bench(path: str, summary: dict, label: str = "head",
-                      config: Optional[dict] = None) -> str:
-    """Append the campaign summary to the ``BENCH_chaos.json``
-    trajectory (atomically; a legacy single-snapshot file is migrated
-    on first touch -- mirrors ``benchkernel.write_bench``)."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, chaos_entry(summary, label=label, config=config))
-    return path
 
 
 def service_summary(result: dict) -> dict:

@@ -19,10 +19,18 @@ byte-identity per policy is one string comparison.
 import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.sim.monitor import nearest_rank
+
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
 #: the attack suite swept by default (repro.attacks.ATTACK_SUITE keys)
 ATTACK_NAMES = ("probe", "theft", "clocks")
+
+#: sweep parameters that define a ``mitigation.frontier`` entry's
+#: workload (its gate ``config``): ``seeds`` is the number of seeds
+#: derived from ``seed_base``; ``jobs`` only schedules cells
+ENTRY_CONFIG = ("policies", "attacks", "duration", "seeds", "seed_base",
+                "bins", "workload")
 
 #: the gate pair: the undefended baseline must out-leak StopWatch here
 GATE_ATTACK = "probe"
@@ -68,7 +76,7 @@ def run_mitigation_cell(policy: str = "stopwatch",
         "samples_present": len(result.samples_present),
         "victim_requests": len(latencies),
         "victim_latency_mean": _mean(latencies),
-        "victim_latency_p95": _percentile(latencies, 95),
+        "victim_latency_p95": nearest_rank(latencies, 95),
         "meta": dict(result.meta),
     }
 
@@ -188,10 +196,12 @@ def frontier_gate(summary: dict,
     }
 
 
-def mitigation_entry(summary: dict, label: str = "head",
-                     config: Optional[dict] = None) -> dict:
+def mitigation_entry(summary: dict, params: dict,
+                     label: str = "head") -> dict:
     """The :mod:`repro.bench` trajectory entry for a frontier summary.
 
+    ``params`` holds the sweep's bench-level parameters; the
+    :data:`ENTRY_CONFIG` ones become the entry's gate ``config``.
     When the sanity gate ran, the primary metric is ``margin_bits`` --
     how much more the undefended baseline leaks than StopWatch on the
     probing attack.  Leakage estimates are deterministic for a fixed
@@ -200,6 +210,9 @@ def mitigation_entry(summary: dict, label: str = "head",
     """
     from repro.bench.schema import make_entry
 
+    config = {key: params[key] for key in ENTRY_CONFIG}
+    config["policies"] = list(config["policies"])
+    config["attacks"] = list(config["attacks"])
     gate = summary.get("gate", {})
     metrics: Dict[str, Any] = {
         "cells": summary.get("cells"),
@@ -220,18 +233,6 @@ def mitigation_entry(summary: dict, label: str = "head",
             primary = "margin_bits"
     return make_entry("mitigation.frontier", config, metrics,
                       primary_metric=primary, label=label)
-
-
-def write_mitigation_bench(path: str, summary: dict, label: str = "head",
-                           config: Optional[dict] = None) -> str:
-    """Append the frontier summary to the ``BENCH_mitigation.json``
-    trajectory (atomically; a legacy single-snapshot file is migrated
-    on first touch -- mirrors ``chaos.write_chaos_bench``)."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, mitigation_entry(summary, label=label,
-                                        config=config))
-    return path
 
 
 def policy_signature(policy, seed: int = 5, duration: float = 3.0,
@@ -257,12 +258,3 @@ def policy_signature(policy, seed: int = 5, duration: float = 3.0,
 def _mean(values: Sequence[float]) -> Optional[float]:
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
-
-
-def _percentile(values: List[float], p: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1,
-                int(round(p / 100 * (len(ordered) - 1))))
-    return ordered[index]

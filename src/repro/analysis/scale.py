@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cloud.scenario import ScenarioSpec, TenantSpec
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Trace
+from repro.sim.monitor import Trace, nearest_rank
 
 #: same bounded-trace contract as the experiment runners
 TRACE_CAP = 65_536
@@ -76,15 +76,6 @@ def egress_signature(sim) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 on an empty sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
                    seed: int = 1,
                    profile: bool = False) -> Dict[str, object]:
@@ -112,8 +103,8 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
     except AssertionError:
         outputs_consistent = False
 
-    delays = sorted(flow.end_to_end for flow in sim.flows.flows.values()
-                    if flow.released is not None)
+    delays = [flow.end_to_end for flow in sim.flows.flows.values()
+              if flow.released is not None]
     stats = sim.stats()
     machines, _ = spec.resolved_fleet()
     released = built.cloud.packets_released
@@ -134,8 +125,8 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
         "packets_replicated": built.cloud.packets_replicated,
         "packets_released": released,
         "releases_per_sim_second": released / duration if duration else 0.0,
-        "mediation_p50": _percentile(delays, 0.50),
-        "mediation_p95": _percentile(delays, 0.95),
+        "mediation_p50": nearest_rank(delays, 50),
+        "mediation_p95": nearest_rank(delays, 95),
         "mediated_flows": len(delays),
         "placement_verified": built.verify_placement(),
         "outputs_consistent": outputs_consistent,

@@ -27,6 +27,7 @@ the suite.
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.chaos import chaos_signature, replay_divergence
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -63,19 +64,6 @@ def build_storage_spec(k: int = 2, n: int = 3,
             name="store", count=n, workload="storage", clients=clients,
             workload_params={"k": k, "n": n, "object_size": object_size,
                              "objects": objects})])
-
-
-def storage_signature(trace: Trace) -> List[Tuple]:
-    """Deterministic signature: fault/heal/storage/release records in
-    global order with full payloads (same shape as the chaos cells)."""
-    signature = []
-    for record in trace.iter_records(""):
-        if any(record.category == prefix.rstrip(".")
-               or record.category.startswith(prefix)
-               for prefix in SIGNATURE_PREFIXES):
-            signature.append((round(record.time, 9), record.category,
-                              tuple(sorted(record.payload.items()))))
-    return signature
 
 
 def live_share_report(built, tenant: str = "store") -> Dict[str, int]:
@@ -186,7 +174,7 @@ def _cell_once(seed: int, duration: float, k: int, n: int,
             loop_seconds=sim.wall_seconds,
             total_seconds=_time.perf_counter() - cell_started,
             release_times=trace.times("egress.release"))
-    return result, storage_signature(trace)
+    return result, chaos_signature(trace, SIGNATURE_PREFIXES)
 
 
 def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
@@ -216,16 +204,8 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
     if check_determinism:
         _, replay = _cell_once(seed, duration, k, n, object_size,
                                objects, crash_at)
-        result["deterministic"] = signature == replay
-        if not result["deterministic"]:
-            for index, (a, b) in enumerate(zip(signature, replay)):
-                if a != b:
-                    result["divergence"] = (
-                        f"record {index}: {a!r} != {b!r}")
-                    break
-            else:
-                result["divergence"] = (
-                    f"lengths differ: {len(signature)} vs {len(replay)}")
+        result["divergence"] = replay_divergence(signature, replay)
+        result["deterministic"] = result["divergence"] is None
     result["ok"] = (not result["violations"]
                     and result["objects_stored"] > 0
                     and result["min_live_shares"] == n
@@ -235,6 +215,10 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
                     and result["deterministic"] is not False)
     return result
 
+
+#: cell parameters that define a ``storage.repair`` entry's workload
+ENTRY_CONFIG = ("seed", "duration", "k", "n", "object_size", "objects",
+                "crash_at")
 
 #: result keys that become trajectory-entry metrics
 _ENTRY_METRICS = ("sent", "replies", "puts_completed", "gets_completed",
@@ -246,29 +230,21 @@ _ENTRY_METRICS = ("sent", "replies", "puts_completed", "gets_completed",
                   "signature_records")
 
 
-def storage_entry(result: dict, label: str = "head",
-                  config: Optional[dict] = None) -> dict:
+def storage_entry(result: dict, label: str = "head") -> dict:
     """The :mod:`repro.bench` trajectory entry for one repair cell.
 
-    Primary metric: ``repaired_bytes_per_sim_s`` -- reconstruction
-    throughput across the mediated fabric, fully deterministic for a
-    fixed config, so the regression gate only trips on real behaviour
-    changes.
+    The cell's :data:`ENTRY_CONFIG` parameters (echoed in ``result``)
+    become the entry's gate ``config``.  Primary metric:
+    ``repaired_bytes_per_sim_s`` -- reconstruction throughput across
+    the mediated fabric, fully deterministic for a fixed config, so the
+    regression gate only trips on real behaviour changes.
     """
     from repro.bench.schema import make_entry
 
+    config = {key: result[key] for key in ENTRY_CONFIG}
     metrics = {key: result.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(result.get("violations", ()))
     metrics["ok"] = bool(result.get("ok"))
     return make_entry("storage.repair", config, metrics,
                       primary_metric="repaired_bytes_per_sim_s",
                       label=label, profile=result.get("profile"))
-
-
-def write_storage_bench(path: str, result: dict, label: str = "head",
-                        config: Optional[dict] = None) -> str:
-    """Append the cell result to the ``BENCH_storage.json`` trajectory."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, storage_entry(result, label=label, config=config))
-    return path

@@ -1,11 +1,11 @@
 """The unified benchmark registry: versioned trajectory artifacts,
 named benchmark runners, and the regression gate.
 
-- :mod:`repro.bench.schema` -- entry/trajectory schemas, the legacy
-  ``BENCH_*`` snapshot migrator, append-only IO and the compare gate.
+- :mod:`repro.bench.schema` -- entry/trajectory schemas, append-only
+  IO and the compare gate.
 - :mod:`repro.bench.registry` -- named benchmarks (``kernel.scale<N>``,
   ``chaos.storm``, ``mitigation.frontier``) that produce entries.
-- :mod:`repro.bench.cli` -- ``repro bench run/compare/history/migrate``.
+- :mod:`repro.bench.cli` -- ``repro bench run/compare/history/list``.
 """
 
 from repro.bench.registry import (BENCHMARKS, UnknownBenchmark,
@@ -17,8 +17,7 @@ from repro.bench.schema import (DEFAULT_TOLERANCE, ENTRY_SCHEMA,
                                 comparable_entries, compare_entry,
                                 empty_trajectory, history_rows,
                                 load_trajectory, make_entry,
-                                migrate_snapshot, validate_entry,
-                                write_trajectory)
+                                validate_entry, write_trajectory)
 
 __all__ = [
     "BENCHMARKS", "BenchSchemaError", "DEFAULT_TOLERANCE",
@@ -26,6 +25,5 @@ __all__ = [
     "append_entry", "benchmark_names", "best_entry",
     "comparable_entries", "compare_entry", "default_path",
     "empty_trajectory", "history_rows", "load_trajectory", "make_entry",
-    "migrate_snapshot", "run_benchmark", "validate_entry",
-    "write_trajectory",
+    "run_benchmark", "validate_entry", "write_trajectory",
 ]

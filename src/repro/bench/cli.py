@@ -5,7 +5,6 @@ Subcommands::
     repro bench run --benchmark kernel.scale32 [--profile] [--gate]
     repro bench compare [--path BENCH_kernel.json] [--gate]
     repro bench history [--path BENCH_kernel.json]
-    repro bench migrate BENCH_kernel.json [...]
     repro bench list
 
 ``run`` executes a registered benchmark, appends one schema-versioned
@@ -17,7 +16,6 @@ non-zero on a regression; ``--gate`` additionally fails when there is
 no comparable history at all (a gate that silently checks nothing).
 """
 
-import argparse
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -184,36 +182,6 @@ def cmd_bench_history(args) -> None:
                         "value", "signature"], rows))
 
 
-def cmd_bench_migrate(args) -> None:
-    from repro.bench import (TRAJECTORY_SCHEMA, BenchSchemaError,
-                             migrate_snapshot, write_trajectory)
-
-    failed = False
-    for path in args.paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: SKIP ({exc})")
-            failed = True
-            continue
-        if doc.get("schema") == TRAJECTORY_SCHEMA:
-            print(f"{path}: already migrated "
-                  f"({len(doc.get('entries', ()))} entries)")
-            continue
-        try:
-            trajectory = migrate_snapshot(doc)
-        except BenchSchemaError as exc:
-            print(f"{path}: FAIL ({exc})")
-            failed = True
-            continue
-        write_trajectory(path, trajectory)
-        print(f"{path}: migrated legacy snapshot -> "
-              f"{len(trajectory['entries'])} trajectory entries")
-    if failed:
-        raise SystemExit(1)
-
-
 def cmd_bench_list(args) -> None:
     from repro.bench import benchmark_names, default_path
 
@@ -273,11 +241,6 @@ def add_bench_parser(sub) -> None:
     h.add_argument("--path", default=None, metavar="PATH")
     h.add_argument("--benchmark", default=None)
     h.set_defaults(fn=cmd_bench_history)
-
-    m = bench_sub.add_parser("migrate", help="rewrite legacy BENCH_* "
-                                             "snapshots as trajectories")
-    m.add_argument("paths", nargs="+", metavar="PATH")
-    m.set_defaults(fn=cmd_bench_migrate)
 
     ls = bench_sub.add_parser("list", help="registered benchmark ids")
     ls.set_defaults(fn=cmd_bench_list)

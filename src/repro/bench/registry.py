@@ -39,48 +39,50 @@ def _kernel_benchmark(tenants: int, label: str, profile: bool,
     return kernel_entry(result, label=label)
 
 
+def _names(value: Any) -> Any:
+    """A ``--set`` comma-separated name list, as a tuple."""
+    if isinstance(value, str):
+        return tuple(name for name in value.split(",") if name)
+    return value
+
+
+def _campaign_kwargs(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Campaign-runner keywords for bench ``params``: the ``seeds``
+    count and ``seed_base`` become the derived seed list."""
+    from repro.sim.rng import derive_root_seed
+
+    kwargs = dict(params)
+    base, count = int(kwargs.pop("seed_base")), int(kwargs.pop("seeds"))
+    kwargs["seeds"] = [derive_root_seed(base, i) for i in range(count)]
+    return kwargs
+
+
 def _chaos_benchmark(label: str, profile: bool,
                      **overrides: Any) -> Dict[str, Any]:
     from repro.analysis.chaos import chaos_entry, run_chaos_campaign
-    from repro.sim.rng import derive_root_seed
 
     params = {"seeds": 2, "seed_base": 101, "scenarios": ("single",),
               "duration": 3.0, "rate": 1.2, "jobs": 1}
     params.update(overrides)
-    seeds = [derive_root_seed(int(params.pop("seed_base")), i)
-             for i in range(int(params.pop("seeds")))]
-    scenarios = params.pop("scenarios")
-    if isinstance(scenarios, str):
-        scenarios = tuple(s for s in scenarios.split(",") if s)
-    summary = run_chaos_campaign(seeds=seeds, scenarios=scenarios,
-                                 profile=profile, **params)
-    return chaos_entry(summary, label=label,
-                       config={"seeds": len(seeds),
-                               "scenarios": list(scenarios),
-                               "duration": params["duration"],
-                               "rate": params["rate"]})
+    params["scenarios"] = _names(params["scenarios"])
+    summary = run_chaos_campaign(profile=profile,
+                                 **_campaign_kwargs(params))
+    return chaos_entry(summary, params, label=label)
 
 
 def _mitigation_benchmark(label: str, profile: bool,
                           **overrides: Any) -> Dict[str, Any]:
     from repro.analysis.mitigation import (mitigation_entry,
                                            mitigation_frontier)
-    from repro.sim.rng import derive_root_seed
 
     params = {"policies": ("stopwatch", "none"), "attacks": ("probe",),
-              "duration": 3.0, "seeds": 1, "seed_base": 7, "jobs": 1}
+              "duration": 3.0, "seeds": 1, "seed_base": 7, "bins": 10,
+              "workload": "fileserver", "jobs": 1}
     params.update(overrides)
-    seeds = [derive_root_seed(int(params.pop("seed_base")), i)
-             for i in range(int(params.pop("seeds")))]
-    for key in ("policies", "attacks"):
-        if isinstance(params[key], str):
-            params[key] = tuple(s for s in params[key].split(",") if s)
-    summary = mitigation_frontier(seeds=seeds, **params)
-    return mitigation_entry(summary, label=label,
-                            config={"policies": list(params["policies"]),
-                                    "attacks": list(params["attacks"]),
-                                    "duration": params["duration"],
-                                    "seeds": len(seeds)})
+    params["policies"] = _names(params["policies"])
+    params["attacks"] = _names(params["attacks"])
+    summary = mitigation_frontier(**_campaign_kwargs(params))
+    return mitigation_entry(summary, params, label=label)
 
 
 def _storage_benchmark(label: str, profile: bool,
@@ -91,12 +93,8 @@ def _storage_benchmark(label: str, profile: bool,
     params = {"seed": 7, "duration": 6.0, "k": 2, "n": 3,
               "object_size": 8192, "objects": 3, "crash_at": 1.2}
     params.update(overrides)
-    result = run_storage_repair_cell(profile=profile, **params)
-    return storage_entry(result, label=label,
-                         config={key: params[key]
-                                 for key in ("seed", "duration", "k", "n",
-                                             "object_size", "objects",
-                                             "crash_at")})
+    return storage_entry(run_storage_repair_cell(profile=profile,
+                                                 **params), label=label)
 
 
 #: fixed-id benchmarks (parameterised families are resolved separately)

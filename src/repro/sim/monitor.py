@@ -350,6 +350,19 @@ class JsonlSink:
         self.close()
 
 
+def nearest_rank(values: Iterable[float], p: float) -> Optional[float]:
+    """Nearest-rank percentile ``p`` (0..100) of ``values``: the sample
+    at rank ``ceil(n * p / 100)`` (at least 1) in sorted order, or
+    ``None`` for an empty sample.  The one percentile rule the repo
+    reports exact values with."""
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    rank = max(1, math.ceil(len(ordered) * min(max(p, 0.0), 100.0)
+                            / 100.0))
+    return ordered[rank - 1]
+
+
 class Histogram:
     """A log-bucketed histogram with bounded memory.
 
@@ -482,10 +495,7 @@ class MetricSet:
         hist = self._histogram(name)
         retained = self.samples[name]
         if len(retained) == hist.count:
-            ordered = sorted(retained)
-            rank = max(1, math.ceil(len(ordered)
-                                    * min(max(p, 0.0), 100.0) / 100.0))
-            return ordered[rank - 1]
+            return nearest_rank(retained, p)
         return hist.percentile(p)
 
     def percentiles(self, name: str,

@@ -7,11 +7,14 @@ import pytest
 from repro.analysis.chaos import (
     CELL_SCENARIOS,
     cell_storm,
+    chaos_entry,
+    first_divergence,
+    replay_divergence,
     run_chaos_cell,
     run_chaos_campaign,
     summarize_chaos_campaign,
-    write_chaos_bench,
 )
+from repro.bench.schema import append_entry
 
 # small but real: one seed, one scenario, determinism replay on
 CELL_KWARGS = {"seed": 13, "scenario": "single", "duration": 4.0,
@@ -48,6 +51,25 @@ class TestChaosCell:
 
         assert storm(99) == storm(99)
         assert storm(99) != storm(100)
+
+
+class TestDivergence:
+    A = [(0.1, "fault.crash", ()), (0.2, "heal.complete", ())]
+
+    def test_identical_signatures(self):
+        assert first_divergence(self.A, list(self.A)) is None
+        assert replay_divergence(self.A, list(self.A)) is None
+
+    def test_first_differing_record(self):
+        other = [self.A[0], (0.3, "heal.complete", ())]
+        assert first_divergence(self.A, other) == (1, self.A[1], other[1])
+        assert replay_divergence(self.A, other).startswith("record 1: ")
+
+    def test_a_side_that_ran_out_reads_none(self):
+        assert first_divergence(self.A, self.A[:1]) == (1, self.A[1], None)
+        assert first_divergence(self.A[:1], self.A) == (1, None, self.A[1])
+        assert replay_divergence(self.A, self.A[:1]) == \
+            "lengths differ: 2 vs 1"
 
 
 class TestCampaign:
@@ -122,20 +144,23 @@ class TestSummary:
     def test_bench_artifact_round_trip(self, tmp_path):
         summary = summarize_chaos_campaign(self.fake_report())
         path = str(tmp_path / "BENCH_chaos.json")
-        write_chaos_bench(path, summary, label="head",
-                          config={"seeds": 2, "scenarios": ["single"]})
+        params = {"seeds": 2, "seed_base": 101, "scenarios": ("single",),
+                  "duration": 6.0, "rate": 1.2, "jobs": 2}
+        append_entry(path, chaos_entry(summary, params, label="head"))
         first = json.loads(open(path, encoding="utf-8").read())
         assert first["schema"] == "repro.bench.trajectory/1"
         assert [e["label"] for e in first["entries"]] == ["head"]
         head = first["entries"][0]
         assert head["benchmark"] == "chaos.storm"
         assert head["primary_metric"] == "replies"
+        assert head["config"] == {"seeds": 2, "seed_base": 101,
+                                  "scenarios": ["single"],
+                                  "duration": 6.0, "rate": 1.2}
         assert head["metrics"]["violations"] == 1
         assert head["metrics"]["replies"] == 14
         assert "results" not in head   # per-cell bulk stays out
         # append-only: a second write adds an entry, rewrites nothing
-        write_chaos_bench(path, summary, label="next",
-                          config={"seeds": 2, "scenarios": ["single"]})
+        append_entry(path, chaos_entry(summary, params, label="next"))
         second = json.loads(open(path, encoding="utf-8").read())
         assert [e["label"] for e in second["entries"]] == \
             ["head", "next"]

@@ -1,5 +1,5 @@
 """The mitigation-frontier campaign runner: cell contract, aggregation,
-the CI gate, and the BENCH artifact writer."""
+the CI gate, and the bench trajectory entry."""
 
 import json
 import pickle
@@ -12,10 +12,11 @@ from repro.analysis.mitigation import (
     ATTACK_NAMES,
     POLICY_NAMES,
     frontier_gate,
+    mitigation_entry,
     mitigation_frontier,
     run_mitigation_cell,
-    write_mitigation_bench,
 )
+from repro.bench.schema import append_entry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -87,14 +88,18 @@ def test_gate_vacuous_without_both_policies():
     assert gate["ok"]
 
 
-def test_write_bench_appends_trajectory_entries(tmp_path):
+def test_entry_appends_trajectory_entries(tmp_path):
     summary = {"cells": 2, "failures": [], "rows": [],
                "gate": {"checked": True, "ok": True,
                         "baseline_bits": 0.5, "mitigated_bits": 0.1},
                "ok": True, "wall_seconds": 1.0,
                "results": [{"should": "be stripped"}]}
+    params = {"policies": ("none", "stopwatch"), "attacks": ("probe",),
+              "duration": 3.0, "seeds": 1, "seed_base": 7, "bins": 10,
+              "workload": "fileserver", "jobs": 2}
     path = tmp_path / "BENCH_mitigation.json"
-    write_mitigation_bench(str(path), summary, label="first")
+    append_entry(str(path), mitigation_entry(summary, params,
+                                             label="first"))
     first = json.loads(path.read_text())
     assert first["schema"] == "repro.bench.trajectory/1"
     assert [e["label"] for e in first["entries"]] == ["first"]
@@ -103,8 +108,13 @@ def test_write_bench_appends_trajectory_entries(tmp_path):
     assert head["primary_metric"] == "margin_bits"
     assert head["metrics"]["margin_bits"] == pytest.approx(0.4)
     assert head["metrics"]["gate_ok"] is True
+    assert head["config"] == {"policies": ["none", "stopwatch"],
+                              "attacks": ["probe"], "duration": 3.0,
+                              "seeds": 1, "seed_base": 7, "bins": 10,
+                              "workload": "fileserver"}
     assert "results" not in head
-    write_mitigation_bench(str(path), summary, label="second")
+    append_entry(str(path), mitigation_entry(summary, params,
+                                             label="second"))
     second = json.loads(path.read_text())
     assert [e["label"] for e in second["entries"]] == \
         ["first", "second"]

@@ -1,4 +1,4 @@
-"""Tests for the storage-repair cell runner and its bench plumbing."""
+"""Tests for the storage-repair cell runner and its bench entry."""
 
 import json
 
@@ -7,8 +7,8 @@ import pytest
 from repro.analysis.storage import (
     run_storage_repair_cell,
     storage_entry,
-    write_storage_bench,
 )
+from repro.bench.schema import append_entry
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +51,21 @@ class TestRepairCell:
 
 class TestBenchPlumbing:
     def test_entry_shape(self, cell):
-        entry = storage_entry(cell, label="t",
-                              config={"k": cell["k"], "n": cell["n"]})
+        entry = storage_entry(cell, label="t")
         assert entry["benchmark"] == "storage.repair"
         assert entry["primary_metric"] == "repaired_bytes_per_sim_s"
         assert entry["label"] == "t"
+        assert entry["config"] == {"seed": 7, "duration": 4.5, "k": 2,
+                                   "n": 3, "object_size": 8192,
+                                   "objects": 3, "crash_at": 1.0}
         assert entry["metrics"]["ok"] is True
         assert entry["metrics"]["repaired_bytes"] == \
             cell["repaired_bytes"]
 
     def test_write_appends_trajectory(self, cell, tmp_path):
         path = str(tmp_path / "BENCH_storage.json")
-        write_storage_bench(path, cell, label="a")
-        write_storage_bench(path, cell, label="b")
+        append_entry(path, storage_entry(cell, label="a"))
+        append_entry(path, storage_entry(cell, label="b"))
         with open(path) as handle:
             data = json.load(handle)
         assert [entry["label"] for entry in data["entries"]] == ["a", "b"]

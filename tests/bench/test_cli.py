@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.bench import (UnknownBenchmark, benchmark_names, default_path,
-                         empty_trajectory, make_entry, run_benchmark,
+from repro.bench import (UnknownBenchmark, benchmark_names,
+                         compare_entry, default_path, empty_trajectory,
+                         load_trajectory, make_entry, run_benchmark,
                          write_trajectory)
 from repro.cli import main
 
@@ -197,29 +198,92 @@ class TestBenchHistoryAndMigrate:
         assert "2 entries" in out
         assert "good" in out and "head" in out
 
-    def test_migrate_rewrites_legacy_snapshot(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_kernel.json"
-        path.write_text(json.dumps({
-            "benchmark": "kernel.scale32", "label": "old",
-            "events_per_cpu_second": 57_988.0,
-            "trajectory": []}))
-        run_cli("bench", "migrate", str(path))
-        assert "migrated legacy snapshot" in capsys.readouterr().out
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.bench.trajectory/1"
-        run_cli("bench", "migrate", str(path))
-        assert "already migrated" in capsys.readouterr().out
-
-    def test_migrate_fails_on_unrecognised_doc(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_mystery.json"
-        path.write_text(json.dumps({"mystery": True}))
-        with pytest.raises(SystemExit) as err:
-            run_cli("bench", "migrate", str(path))
-        assert err.value.code == 1
-        assert "FAIL" in capsys.readouterr().out
-
     def test_list_names_benchmarks(self, capsys):
         run_cli("bench", "list")
         out = capsys.readouterr().out
         assert "kernel.scale<N>" in out
         assert "BENCH_kernel.json" in out
+
+
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """Replace the chaos, mitigation and storage runners with instant
+    fakes; returns the keyword arguments of every call."""
+    import repro.analysis.chaos as chaos
+    import repro.analysis.mitigation as mitigation
+    import repro.analysis.storage as storage
+
+    class EmptyReport:
+        results = []
+        wall_seconds = 0.0
+
+    calls = []
+
+    def fake_campaign(**kwargs):
+        calls.append(kwargs)
+        return chaos.summarize_chaos_campaign(EmptyReport())
+
+    def fake_frontier(**kwargs):
+        calls.append(kwargs)
+        return mitigation.summarize_frontier(EmptyReport())
+
+    def fake_cell(**kwargs):
+        calls.append(kwargs)
+        return dict(kwargs, ok=True)
+
+    monkeypatch.setattr(chaos, "run_chaos_campaign", fake_campaign)
+    monkeypatch.setattr(mitigation, "mitigation_frontier", fake_frontier)
+    monkeypatch.setattr(storage, "run_storage_repair_cell", fake_cell)
+    return calls
+
+
+class TestEntryConfig:
+    """A family's ``--output`` entries and its registry entries share
+    one gate ``config``, built from every workload parameter."""
+
+    @pytest.mark.parametrize("argv, bench_id, overrides", [
+        (["chaos", "campaign", "--seeds", "3", "--seed-base", "57",
+          "--scenarios", "single,multi", "--jobs", "2"],
+         "chaos.storm",
+         {"seeds": 3, "seed_base": 57, "scenarios": "single,multi",
+          "duration": 6.0, "jobs": 2}),
+        (["mitigate", "--policies", "stopwatch,none", "--attacks",
+          "probe,theft", "--duration", "3.0", "--jobs", "2"],
+         "mitigation.frontier",
+         {"policies": "stopwatch,none", "attacks": "probe,theft",
+          "jobs": 2}),
+        (["storage", "--seed", "7", "--crash-at", "1.2", "--json"],
+         "storage.repair", {"seed": 7, "crash_at": 1.2}),
+    ])
+    def test_cli_output_entry_matches_registry_config(
+            self, stub_runs, tmp_path, capsys, argv, bench_id,
+            overrides):
+        path = str(tmp_path / "BENCH.json")
+        assert run_cli(*argv, "--output", path, "--label", "ci") == 0
+        (entry,) = load_trajectory(path)["entries"]
+        registry = run_benchmark(bench_id, overrides=overrides)
+        assert entry["benchmark"] == bench_id
+        assert entry["config"] == registry["config"]
+        # both paths derived the same seed list from seed_base
+        assert stub_runs[0].get("seeds") == stub_runs[1].get("seeds")
+
+    @pytest.mark.parametrize("bench_id, override", [
+        ("chaos.storm", {"seed_base": 57}),
+        ("mitigation.frontier", {"seed_base": 57}),
+        ("mitigation.frontier", {"bins": 20}),
+        ("mitigation.frontier", {"workload": "echo"}),
+    ])
+    def test_workload_parameters_split_comparability(
+            self, stub_runs, bench_id, override):
+        history = empty_trajectory()
+        history["entries"].append(run_benchmark(bench_id))
+        gate = compare_entry(run_benchmark(bench_id, overrides=override),
+                             history)
+        assert gate["comparable"] == 0
+
+    def test_jobs_does_not_split_comparability(self, stub_runs):
+        history = empty_trajectory()
+        history["entries"].append(run_benchmark("chaos.storm"))
+        gate = compare_entry(
+            run_benchmark("chaos.storm", overrides={"jobs": 2}), history)
+        assert gate["comparable"] == 1

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.sim import RngRegistry, Simulator, Trace
-from repro.sim.monitor import JsonlSink, MetricSet, category_matches
+from repro.sim.monitor import (JsonlSink, MetricSet, category_matches,
+                               nearest_rank)
 
 
 def test_same_name_same_stream_object():
@@ -191,6 +192,24 @@ def test_metricset_snapshot_has_min_max_mean_percentiles():
     assert stats["mean"] == 4.0
     assert stats["p50"] == 2.0
     assert stats["p99"] == 10.0
+
+
+def test_nearest_rank_rule_and_empty_sample():
+    values = [10.0, 1.0, 3.0, 2.0]          # unsorted input is fine
+    assert nearest_rank(values, 50) == 2.0  # rank ceil(4 * 0.5) = 2
+    assert nearest_rank(values, 51) == 3.0
+    assert nearest_rank(values, 0) == 1.0
+    assert nearest_rank(values, 100) == 10.0
+    assert nearest_rank([], 95) is None
+
+
+def test_metricset_exact_percentiles_are_nearest_rank():
+    metrics = MetricSet()
+    samples = [0.3 * i % 7.0 for i in range(1, 200)]
+    for value in samples:
+        metrics.observe("v", value)
+    for p in (1, 50, 95, 99, 99.9):
+        assert metrics.percentile("v", p) == nearest_rank(samples, p)
 
 
 def test_metricset_histogram_kicks_in_past_sample_cap():
