@@ -107,12 +107,12 @@ def fig4_empirical_detection(duration: float = 30.0, seed: int = 7,
                              ) -> dict:
     """Fig. 4: empirical inter-packet samples and detection curves for
     both the StopWatch and unmodified-Xen conditions."""
-    from repro.attacks.sidechannel import run_coresidence_experiment
+    from repro.attacks.probes import run_clock_probe
 
-    with_sw = run_coresidence_experiment(mediated=True, duration=duration,
-                                         seed=seed)
-    without_sw = run_coresidence_experiment(mediated=False,
-                                            duration=duration, seed=seed)
+    with_sw = run_clock_probe(policy="stopwatch", duration=duration,
+                              seed=seed)
+    without_sw = run_clock_probe(policy="none", duration=duration,
+                                 seed=seed)
     return {
         "stopwatch": with_sw,
         "baseline": without_sw,
@@ -412,13 +412,13 @@ def aggregation_ablation(aggregations: Sequence[str] = ("median", "leader",
     copies a coresident replica's perturbation to all replicas, while
     the median suppresses it.
     """
-    from repro.attacks.sidechannel import run_coresidence_experiment
+    from repro.attacks.probes import run_clock_probe
 
     rows = []
     for how in aggregations:
-        config = DEFAULT.with_overrides(aggregation=how)
-        result = run_coresidence_experiment(
-            mediated=True, duration=duration, seed=seed, config=config)
+        result = run_clock_probe(
+            policy="stopwatch", duration=duration, seed=seed,
+            base_config=DEFAULT.with_overrides(aggregation=how))
         curve = result.detection_curve([confidence])
         rows.append((how, curve[0][1]))
     return rows

@@ -239,10 +239,10 @@ def policy_signature(policy, seed: int = 5, duration: float = 3.0,
                      ping_interval: float = 0.020) -> str:
     """SHA-256 over the client-visible reply timeline of a tiny echo
     cell under ``policy`` -- the warm-repeat determinism probe."""
-    from repro.attacks.probes import _policy_cell
+    from repro.attacks.probes import policy_cell
     from repro.workloads.echo import EchoServer, PingClient
 
-    sim, cloud, attacker_hosts, _ = _policy_cell(policy, seed)
+    sim, cloud, attacker_hosts, _ = policy_cell(policy, seed)
     cloud.create_vm("echo", EchoServer, hosts=attacker_hosts)
     client = cloud.add_client("client:1")
     pinger = PingClient(client, "vm:echo",

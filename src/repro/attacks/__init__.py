@@ -4,27 +4,23 @@
   guest: an attacker workload that timestamps its observable events with
   every clock the guest can build (RT = virtual time, IO = interrupt
   arrivals, TL = branch counter, PIT ticks).
-- :mod:`repro.attacks.sidechannel` -- the Fig. 4 experiment: an attacker
-  VM measuring inter-packet delivery times while a victim VM serving
-  files is (or is not) coresident with one of its replicas.
 - :mod:`repro.attacks.covert` -- an access-driven timing covert channel:
   a Trojan victim modulates host load in time slots; the attacker
   decodes bits from its own event timings.
 - :mod:`repro.attacks.collab` -- Sec. IX's collaborating attackers:
   a second attacker VM loads one replica host to marginalise it from
   the median.
-- :mod:`repro.attacks.probes` -- policy-parameterised coresidency and
-  IO-clock probes for the mitigation frontier (``repro mitigate``).
+- :mod:`repro.attacks.probes` -- the one co-residency harness: an
+  attacker VM's observable with a victim VM absent and then coresident
+  with one of its replicas, under any mitigation policy.  Its
+  ``clocks`` attack under ``stopwatch``/``none`` is the Fig. 4
+  experiment; ``probe`` is the external-RTT probe that ``repro
+  mitigate`` gates on.
 - :mod:`repro.attacks.scheduler` -- the scheduler-theft beacon probe
   (Zhou et al.'s cycle-stealing measurement) against any policy.
 """
 
 from repro.attacks.clocks import ClockObserver, ClockSample
-from repro.attacks.sidechannel import (
-    CoresidenceResult,
-    run_coresidence_experiment,
-    observations_needed_from_samples,
-)
 from repro.attacks.covert import CovertChannelResult, run_covert_channel
 from repro.attacks.collab import CollabResult, run_collab_experiment
 from repro.attacks.probes import (
@@ -46,9 +42,6 @@ ATTACK_SUITE = {
 __all__ = [
     "ClockObserver",
     "ClockSample",
-    "CoresidenceResult",
-    "run_coresidence_experiment",
-    "observations_needed_from_samples",
     "CovertChannelResult",
     "run_covert_channel",
     "CollabResult",

@@ -15,16 +15,17 @@ collaborator, (b) with it, and (c) with it but five replicas, and
 reports the chi-squared observation counts for each.
 """
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.attacks.clocks import ClockObserver
 from repro.attacks.covert import BurstSender, SINK_PORT
-from repro.attacks.sidechannel import observations_needed_from_samples
+from repro.attacks.probes import ATTACK_HOST, keep_downloading, remember
 from repro.cloud.fabric import Cloud
-from repro.core.config import StopWatchConfig, DEFAULT
+from repro.core.config import DEFAULT
 from repro.net.udp import UdpStack
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
+from repro.stats.detection import observations_needed_from_samples
 from repro.workloads.echo import PingClient
 from repro.workloads.fileserver import FileServer, HttpDownloader
 
@@ -61,11 +62,8 @@ def run_collab_experiment(replicas: int = 3,
                           seed: int = 13,
                           ping_mean: float = 0.020,
                           victim_file_bytes: int = 300_000,
-                          victim_clients: int = 3,
-                          host_kwargs: Optional[dict] = None) -> CollabResult:
+                          victim_clients: int = 3) -> CollabResult:
     """Run victim-present and control conditions; return both sample sets."""
-    if host_kwargs is None:
-        host_kwargs = {"contention_alpha": 0.5}
     config = DEFAULT.with_overrides(replicas=replicas)
     machines, attacker_hosts, victim_hosts, collab_hosts = \
         _placement(replicas)
@@ -75,11 +73,10 @@ def run_collab_experiment(replicas: int = 3,
         sim = Simulator(seed=seed, trace=Trace(
             categories={"vmm.divergence"}, max_per_category=65_536))
         cloud = Cloud(sim, machines=machines, config=config,
-                      host_kwargs=host_kwargs)
+                      host_kwargs=ATTACK_HOST)
         holder: list = []
         cloud.create_vm(
-            "attacker",
-            lambda guest: holder.append(ClockObserver(guest)) or holder[-1],
+            "attacker", lambda guest: remember(holder, ClockObserver(guest)),
             hosts=attacker_hosts)
         sink = cloud.add_client("sink:1")
         UdpStack(sink).bind(SINK_PORT, lambda d, s: None)
@@ -92,13 +89,9 @@ def run_collab_experiment(replicas: int = 3,
             cloud.create_vm("victim", FileServer, hosts=victim_hosts)
             for index in range(victim_clients):
                 node = cloud.add_client(f"vclient:{index}")
-                downloader = HttpDownloader(node, "vm:victim")
-
-                def loop(dl=downloader):
-                    dl.download(victim_file_bytes,
-                                on_done=lambda _lat: loop(dl))
-
-                sim.call_after(0.05, loop)
+                sim.call_after(0.05, keep_downloading,
+                               HttpDownloader(node, "vm:victim"),
+                               victim_file_bytes)
         pinger_node = cloud.add_client("pinger:1")
         pinger = PingClient(pinger_node, "vm:attacker",
                             mean_interval=ping_mean)

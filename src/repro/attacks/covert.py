@@ -14,6 +14,7 @@ with the Trojan, so the bit error rate collapses toward 1/2.
 from typing import List, NamedTuple, Optional
 
 from repro.attacks.clocks import ClockObserver
+from repro.attacks.probes import ATTACK_HOST, remember
 from repro.cloud.fabric import Cloud
 from repro.core.config import StopWatchConfig, DEFAULT, PASSTHROUGH
 from repro.net.udp import UdpStack
@@ -108,18 +109,15 @@ def run_covert_channel(mediated: bool = True,
                        ping_interval: float = 0.005,
                        seed: int = 11,
                        config: Optional[StopWatchConfig] = None,
-                       host_kwargs: Optional[dict] = None,
                        start_delay: float = 0.5) -> CovertChannelResult:
     """Run the covert channel once; returns sent vs. decoded bits."""
     if config is None:
         config = DEFAULT if mediated else PASSTHROUGH
-    if host_kwargs is None:
-        host_kwargs = {"contention_alpha": 0.5}
     sim = Simulator(seed=seed, trace=Trace(
         categories={"vmm.divergence"}, max_per_category=65_536))
     machines = 5 if config.replicas > 1 else 1
     cloud = Cloud(sim, machines=machines, config=config,
-                  host_kwargs=host_kwargs)
+                  host_kwargs=ATTACK_HOST)
 
     rng = sim.rng.stream("covert.bits")
     bits = [rng.randrange(2) for _ in range(n_bits)]
@@ -133,8 +131,7 @@ def run_covert_channel(mediated: bool = True,
 
     holder: list = []
     cloud.create_vm("attacker",
-                    lambda guest: holder.append(ClockObserver(guest))
-                    or holder[-1],
+                    lambda guest: remember(holder, ClockObserver(guest)),
                     hosts=attacker_hosts)
     cloud.create_vm("trojan",
                     lambda guest: BurstSender(guest, "sink:1",

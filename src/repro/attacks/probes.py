@@ -1,44 +1,48 @@
-"""Policy-parameterised attack probes for the mitigation frontier.
+"""The co-residency attack harness: one two-condition loop, any policy.
 
-Where :mod:`repro.attacks.sidechannel` reproduces the paper's Fig. 4
-pair (unmodified Xen vs StopWatch), these probes take an arbitrary
-:class:`~repro.mitigation.MitigationPolicy` and run the same
-coresidency question under it, so ``repro mitigate`` can sweep the
-whole policy family over one attack suite.
+Every attack here asks the paper's Fig. 4 question -- is a victim VM
+coresident with me? -- under an arbitrary
+:class:`~repro.mitigation.MitigationPolicy`, so ``repro mitigate`` can
+sweep the whole policy family over one attack suite and Fig. 4 is
+simply the ``clocks`` attack under ``stopwatch`` versus ``none``.
 
-Each probe runs two conditions -- victim *absent* and victim
+:func:`run_attack` runs two conditions -- victim *absent* and victim
 *present* (coresident with the attacker) -- and returns the attacker's
-observable under each, as an :class:`AttackResult`.  Leakage is then
-the mutual information between the condition bit and one observation
-(:mod:`repro.stats.mi`); the victim's client latencies in the present
+observable under each, as an :class:`AttackResult`.  An attack supplies
+only its attacker deployment and its observable reader.  Leakage is
+then the mutual information between the condition bit and one
+observation (:mod:`repro.stats.mi`), or the chi-squared observation
+count of Fig. 4(b); the victim's client latencies in the present
 condition are the overhead axis.
 
-Probes in this module observe from *outside* the cloud (the vantage the
-paper's threat model cares most about):
-
 - :func:`run_coresidency_probe` -- a colluding external client pings
-  the attacker VM and measures inter-reply gaps in real time.  This is
-  the probing attack of Zhou et al.'s co-residency detection, pointed
-  at whatever release discipline the egress policy enforces.
+  the attacker VM and measures round trips in real time.  This is the
+  probing attack of Zhou et al.'s co-residency detection, pointed at
+  whatever release discipline the egress policy enforces.
 - :func:`run_clock_probe` -- the attacker guest itself timestamps its
   network interrupts with its RT clock (Wray's IO-vs-RT comparison),
-  testing the *inbound* injection discipline rather than egress.
+  testing the *inbound* injection discipline rather than egress.  This
+  is the paper's Fig. 4 experiment.
 
 :mod:`repro.attacks.scheduler` adds the scheduler-theft beacon probe.
 """
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.attacks.clocks import ClockObserver
 from repro.cloud.fabric import Cloud
 from repro.core.config import DEFAULT, StopWatchConfig
-from repro.mitigation import MitigationPolicy, resolve_policy
+from repro.mitigation import resolve_policy
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
 from repro.workloads.echo import EchoServer, PingClient
 from repro.workloads.fileserver import FileServer, HttpDownloader
 
 VICTIM_WORKLOADS = ("fileserver", "echo")
+
+#: Host setting of every attack cell: a coresident victim's dom0 I/O
+#: visibly slows the shared host's other guests.
+ATTACK_HOST = {"contention_alpha": 0.5}
 
 
 class RttPingClient(PingClient):
@@ -90,17 +94,26 @@ class AttackResult(NamedTuple):
         return leakage_summary(
             [self.samples_absent, self.samples_present], bins=bins)
 
+    def detection_curve(self, confidences: Sequence[float],
+                        bins: int = 10) -> List[Tuple[float, int]]:
+        """Fig. 4(b): (confidence, observations a chi-squared attacker
+        needs to tell the present condition from the absent one)."""
+        from repro.stats.detection import observations_needed_from_samples
+        return observations_needed_from_samples(
+            self.samples_absent, self.samples_present, confidences,
+            bins=bins)
 
-def _policy_cell(policy, seed: int,
-                 base_config: StopWatchConfig = DEFAULT,
-                 host_kwargs: Optional[dict] = None):
+
+def policy_cell(policy, seed: int, base_config: StopWatchConfig = DEFAULT):
     """One condition's cloud under ``policy``: simulator, fabric, and
     the attacker/victim host pinning.
 
     Multi-replica policies get the Fig. 4 layout (5 machines, attacker
-    on 0-2, victim on 0,3,4 -- exactly one shared host); single-replica
-    policies co-locate both VMs on the lone machine, the classic cloud
-    coresidency setup.
+    on 0-2, victim on 0,3,4 -- exactly one shared host).  Host 0 carries
+    attacker replica 0, the "leader" of the aggregation ablation, so
+    leader-dictated timing demonstrably copies the victim's
+    perturbation.  Single-replica policies co-locate both VMs on the
+    lone machine, the classic cloud coresidency setup.
     """
     policy = resolve_policy(policy, base_config)
     config = policy.configure(base_config)
@@ -109,18 +122,24 @@ def _policy_cell(policy, seed: int,
         categories={"vmm.divergence"}, max_per_category=4096))
     machines = 5 if replicas > 1 else 1
     cloud = Cloud(sim, machines=machines, config=config,
-                  host_kwargs=host_kwargs or {"contention_alpha": 0.5},
-                  policy=policy)
+                  host_kwargs=ATTACK_HOST, policy=policy)
     if replicas > 1:
         attacker_hosts = [0, 1, 2]
-        victim_hosts = [0, 3, 4]    # shares exactly host 0 with attacker
+        victim_hosts = [0, 3, 4]
     else:
         attacker_hosts = [0]
         victim_hosts = [0]
     return sim, cloud, attacker_hosts, victim_hosts
 
 
-def _keep_downloading(sim, downloader, size: int) -> None:
+def remember(holder: list, workload):
+    """A VM factory helper: record each replica's workload in
+    ``holder`` so the harness can read it after the run."""
+    holder.append(workload)
+    return workload
+
+
+def keep_downloading(downloader, size: int) -> None:
     """Loop downloads back-to-back for the whole run."""
 
     def again(_latency=None):
@@ -129,10 +148,15 @@ def _keep_downloading(sim, downloader, size: int) -> None:
     again()
 
 
+def gaps(times: List[float]) -> List[float]:
+    return [b - a for a, b in zip(times, times[1:])]
+
+
 def _deploy_victim(sim, cloud, victim_hosts, workload: str,
-                   clients: int, file_bytes: int, ping_mean: float):
-    """Create the victim VM plus its client drivers; returns the
-    drivers so :func:`_victim_latencies` can read overhead off them."""
+                  clients: int, file_bytes: int, ping_mean: float):
+    """Create the victim VM plus its client drivers, which start at
+    t=0.05 s; returns the drivers so :func:`_victim_latencies` can read
+    overhead off them."""
     if workload not in VICTIM_WORKLOADS:
         raise ValueError(f"unknown victim workload {workload!r}; "
                          f"choose from {VICTIM_WORKLOADS}")
@@ -143,8 +167,7 @@ def _deploy_victim(sim, cloud, victim_hosts, workload: str,
             node = cloud.add_client(f"victim-client:{index}")
             downloader = HttpDownloader(node, "vm:victim")
             drivers.append(downloader)
-            sim.call_after(0.05, _keep_downloading, sim, downloader,
-                           file_bytes)
+            sim.call_after(0.05, keep_downloading, downloader, file_bytes)
     else:
         cloud.create_vm("victim", EchoServer, hosts=victim_hosts)
         for index in range(clients):
@@ -164,13 +187,44 @@ def _victim_latencies(drivers) -> List[float]:
         if hasattr(driver, "latencies"):
             latencies.extend(driver.latencies)
         else:
-            times = driver.reply_times
-            latencies.extend(b - a for a, b in zip(times, times[1:]))
+            latencies.extend(gaps(driver.reply_times))
     return latencies
 
 
-def _gaps(times: List[float]) -> List[float]:
-    return [b - a for a, b in zip(times, times[1:])]
+def run_attack(attack: str, deploy, *, policy, duration: float,
+               seed: int, ping_mean: float, workload: str,
+               victim_clients: int, victim_file_bytes: int,
+               base_config: StopWatchConfig) -> AttackResult:
+    """Run one attack with the victim absent, then present.
+
+    ``deploy(sim, cloud, attacker_hosts)`` creates the attacker VM and
+    its external peer and returns ``(start, observe)``: ``start`` (or
+    None) is scheduled at t=0.1 s, after the victim is deployed, and
+    ``observe()`` returns ``(samples, meta)`` once the run is over.
+    """
+    samples = {}
+    for present in (False, True):
+        sim, cloud, attacker_hosts, victim_hosts = policy_cell(
+            policy, seed, base_config)
+        start, observe = deploy(sim, cloud, attacker_hosts)
+        drivers = []
+        if present:
+            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
+                                    victim_clients, victim_file_bytes,
+                                    ping_mean)
+        if start is not None:
+            sim.call_after(0.1, start)
+        cloud.run(until=duration)
+        samples[present], meta = observe()
+    return AttackResult(
+        attack=attack,
+        policy=cloud.policy.name,
+        samples_absent=samples[False],
+        samples_present=samples[True],
+        latencies=_victim_latencies(drivers),
+        meta={"divergences": cloud.vms["attacker"].stat_sum("divergences"),
+              **meta},
+    )
 
 
 def run_coresidency_probe(policy="stopwatch",
@@ -188,36 +242,19 @@ def run_coresidency_probe(policy="stopwatch",
     client's per-ping round trips (real time, downstream of the egress
     policy) are the observable.
     """
-    samples = {}
-    latencies: List[float] = []
-    divergences = 0.0
-    for present in (False, True):
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
-        cloud.create_vm("attacker", ClockObserver, hosts=attacker_hosts)
-        pinger_node = cloud.add_client("pinger:1")
-        pinger = RttPingClient(pinger_node, "vm:attacker",
-                               mean_interval=ping_mean)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        sim.call_after(0.1, pinger.start)
-        cloud.run(until=duration)
-        samples[present] = list(pinger.rtts)
-        if present:
-            latencies = _victim_latencies(drivers)
-            divergences = cloud.vms["attacker"].stat_sum("divergences")
-    return AttackResult(
-        attack="probe",
-        policy=cloud.policy.name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"divergences": divergences,
-              "pings_sent": float(pinger.sent)},
-    )
+
+    def deploy(sim, cloud, hosts):
+        cloud.create_vm("attacker", ClockObserver, hosts=hosts)
+        pinger = RttPingClient(cloud.add_client("pinger:1"),
+                               "vm:attacker", mean_interval=ping_mean)
+        return pinger.start, lambda: (
+            list(pinger.rtts), {"pings_sent": float(pinger.sent)})
+
+    return run_attack("probe", deploy, policy=policy, duration=duration,
+                      seed=seed, ping_mean=ping_mean, workload=workload,
+                      victim_clients=victim_clients,
+                      victim_file_bytes=victim_file_bytes,
+                      base_config=base_config)
 
 
 def run_clock_probe(policy="stopwatch",
@@ -229,7 +266,7 @@ def run_clock_probe(policy="stopwatch",
                     victim_file_bytes: int = 300_000,
                     base_config: StopWatchConfig = DEFAULT,
                     ) -> AttackResult:
-    """Wray IO-clock probing from inside the attacker guest.
+    """Wray IO-clock probing from inside the attacker guest (Fig. 4).
 
     The attacker guest timestamps each network-interrupt arrival with
     its RT (virtual) clock; inter-arrival virts are the observable.
@@ -237,42 +274,22 @@ def run_clock_probe(policy="stopwatch",
     stopwatch, boundary-quantised under deterland, jittered under
     uniform-noise, raw under none.
     """
-    samples = {}
-    latencies: List[float] = []
-    divergences = 0.0
-    observers = []
 
-    def factory(guest):
-        observer = ClockObserver(guest)
-        observers.append(observer)
-        return observer
-
-    for present in (False, True):
-        observers.clear()
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
-        cloud.create_vm("attacker", factory, hosts=attacker_hosts)
-        pinger_node = cloud.add_client("pinger:1")
-        pinger = PingClient(pinger_node, "vm:attacker",
+    def deploy(sim, cloud, hosts):
+        observers: list = []
+        cloud.create_vm(
+            "attacker",
+            lambda guest: remember(observers, ClockObserver(guest)),
+            hosts=hosts)
+        pinger = PingClient(cloud.add_client("pinger:1"), "vm:attacker",
                             mean_interval=ping_mean)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        sim.call_after(0.1, pinger.start)
-        cloud.run(until=duration)
         # replicas record identical virts; read the first replica
-        samples[present] = observers[0].inter_arrival_virts()
-        if present:
-            latencies = _victim_latencies(drivers)
-            divergences = cloud.vms["attacker"].stat_sum("divergences")
-    return AttackResult(
-        attack="clocks",
-        policy=cloud.policy.name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"divergences": divergences,
-              "pings_sent": float(pinger.sent)},
-    )
+        return pinger.start, lambda: (
+            observers[0].inter_arrival_virts(),
+            {"pings_sent": float(pinger.sent)})
+
+    return run_attack("clocks", deploy, policy=policy, duration=duration,
+                      seed=seed, ping_mean=ping_mean, workload=workload,
+                      victim_clients=victim_clients,
+                      victim_file_bytes=victim_file_bytes,
+                      base_config=base_config)

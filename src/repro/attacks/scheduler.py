@@ -15,13 +15,7 @@ contention shows directly.
 
 from typing import List
 
-from repro.attacks.probes import (
-    AttackResult,
-    _deploy_victim,
-    _gaps,
-    _policy_cell,
-    _victim_latencies,
-)
+from repro.attacks.probes import AttackResult, gaps, remember, run_attack
 from repro.core.config import DEFAULT, StopWatchConfig
 from repro.net.packet import Packet
 from repro.workloads.base import GuestWorkload
@@ -66,46 +60,23 @@ def run_scheduler_theft(policy="stopwatch",
                         base_config: StopWatchConfig = DEFAULT,
                         ) -> AttackResult:
     """Run the theft probe with and without the coresident victim."""
-    samples = {}
-    latencies: List[float] = []
-    beacons = 0.0
-    policy_name = ""
-    for present in (False, True):
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
+
+    def deploy(sim, cloud, hosts):
         sink = cloud.add_client("sink:1")
         arrivals: List[float] = []
-        sink.register_protocol(
-            BEACON_PROTOCOL,
-            lambda packet, sim=sim, arrivals=arrivals:
-            arrivals.append(sim.now))
-        probes = []
+        sink.register_protocol(BEACON_PROTOCOL,
+                               lambda packet: arrivals.append(sim.now))
+        probes: list = []
         cloud.create_vm(
             "attacker",
-            lambda guest: _remember(probes, TheftProbe(
+            lambda guest: remember(probes, TheftProbe(
                 guest, "sink:1", burst_branches=burst_branches)),
-            hosts=attacker_hosts)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        cloud.run(until=duration)
-        samples[present] = _gaps(arrivals)
-        policy_name = cloud.policy.name
-        if present:
-            latencies = _victim_latencies(drivers)
-            beacons = float(probes[0].beacons_sent)
-    return AttackResult(
-        attack="theft",
-        policy=policy_name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"beacons_sent": beacons},
-    )
+            hosts=hosts)
+        return None, lambda: (
+            gaps(arrivals), {"beacons_sent": float(probes[0].beacons_sent)})
 
-
-def _remember(holder: list, workload):
-    holder.append(workload)
-    return workload
+    return run_attack("theft", deploy, policy=policy, duration=duration,
+                      seed=seed, ping_mean=ping_mean, workload=workload,
+                      victim_clients=victim_clients,
+                      victim_file_bytes=victim_file_bytes,
+                      base_config=base_config)

@@ -36,6 +36,7 @@ from repro.stats.detection import (
     chi_square_divergence,
     observations_to_detect,
     observations_curve,
+    observations_needed_from_samples,
     empirical_observations_to_detect,
 )
 from repro.stats.noise import (
@@ -80,6 +81,7 @@ __all__ = [
     "chi_square_divergence",
     "observations_to_detect",
     "observations_curve",
+    "observations_needed_from_samples",
     "empirical_observations_to_detect",
     "ExponentialPlusUniform",
     "abs_difference_cdf_exponentials",

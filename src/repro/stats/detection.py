@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy import stats as scipy_stats
 
-from repro.stats.distributions import Distribution
+from repro.stats.distributions import Distribution, Empirical
 
 
 def equiprobable_bin_edges(dist: Distribution, bins: int = 10) -> List[float]:
@@ -97,6 +97,28 @@ def observations_curve(p: np.ndarray, q: np.ndarray,
     """(confidence, observations needed) pairs -- one Fig. 1(b)/4(b) line."""
     return [(c, observations_to_detect(p, q, c, power=power))
             for c in confidences]
+
+
+def observations_needed_from_samples(
+        null_samples: Sequence[float], alt_samples: Sequence[float],
+        confidences: Sequence[float], bins: int = 10,
+        power: float = 0.5) -> List[Tuple[float, int]]:
+    """Fig. 4(b): :func:`observations_curve` from two empirical sample
+    sets.
+
+    Bins are the null samples' equiprobable quantiles; cell
+    probabilities for both conditions are the samples' bin shares.
+    """
+    edges = np.array(equiprobable_bin_edges(Empirical(null_samples), bins))
+
+    def cell_probs(samples: Sequence[float]) -> np.ndarray:
+        counts = np.bincount(np.searchsorted(edges, np.array(samples)),
+                             minlength=bins)[:bins]
+        return counts / len(samples)
+
+    return observations_curve(cell_probs(null_samples),
+                              cell_probs(alt_samples), confidences,
+                              power=power)
 
 
 def empirical_observations_to_detect(null_dist: Distribution,

@@ -30,6 +30,14 @@ def test_attacks_produce_samples_under_baseline(attack):
     assert result.leakage_bits(bins=8) >= 0.0
 
 
+@pytest.mark.parametrize("attack", sorted(ATTACK_SUITE))
+def test_attacks_report_zero_divergences_under_stopwatch(attack):
+    """Every attack cell's record carries the attacker's replica
+    divergence count, and the replicated policy keeps it at zero."""
+    result = ATTACK_SUITE[attack](policy="stopwatch", duration=3.0, seed=3)
+    assert result.meta["divergences"] == 0
+
+
 def test_attacks_run_under_the_replicated_policy():
     result = run_scheduler_theft(policy="stopwatch", duration=3.0,
                                  seed=3)

@@ -13,6 +13,7 @@ from repro.stats import (
     empirical_observations_to_detect,
     equiprobable_bin_edges,
     observations_curve,
+    observations_needed_from_samples,
     observations_to_detect,
 )
 
@@ -119,3 +120,16 @@ class TestEmpiricalDetection:
             base, victim, 0.9, rng, trials=100)
         assert empirical <= 4 * analytic
         assert analytic <= 4 * empirical
+
+
+class TestObservationsFromSamples:
+    def test_identical_samples_need_max_observations(self):
+        samples = [0.01 * i for i in range(1, 300)]
+        curve = observations_needed_from_samples(samples, samples, [0.9])
+        assert curve[0][1] >= 10**6
+
+    def test_disjoint_samples_detected_immediately(self):
+        null = [1.0 + 0.001 * i for i in range(200)]
+        alt = [5.0 + 0.001 * i for i in range(200)]
+        curve = observations_needed_from_samples(null, alt, [0.9])
+        assert curve[0][1] <= 3
