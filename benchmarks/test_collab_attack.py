@@ -5,31 +5,18 @@ attacker-replica host marginalises that replica from median decisions
 and partially re-opens the side channel; five replicas close it again.
 """
 
-from repro.analysis import format_table
-from repro.attacks import run_collab_experiment
+from repro.analysis.experiments import (collaborating_attackers,
+                                        render_collab)
 
 DURATION = 15.0
 
 
 def test_collab_attack(benchmark, save_result):
-    def run_all():
-        plain = run_collab_experiment(replicas=3, collaborator=False,
-                                      duration=DURATION)
-        collab = run_collab_experiment(replicas=3, collaborator=True,
-                                       duration=DURATION)
-        five = run_collab_experiment(replicas=5, collaborator=True,
-                                     duration=DURATION)
-        return plain, collab, five
-
-    plain, collab, five = benchmark.pedantic(run_all, rounds=1,
-                                             iterations=1)
-    rows = [
-        ("3 replicas, no collaborator", plain.observations_needed()),
-        ("3 replicas, collaborator", collab.observations_needed()),
-        ("5 replicas, collaborator", five.observations_needed()),
-    ]
-    save_result("sec9_collaborating_attackers.txt", format_table(
-        ["condition", "observations to detect victim @95%"], rows))
+    results = benchmark.pedantic(collaborating_attackers,
+                                 kwargs={"duration": DURATION},
+                                 rounds=1, iterations=1)
+    plain, collab, five = results
+    save_result("sec9_collaborating_attackers.txt", render_collab(results))
 
     # the collaborator makes the attack easier...
     assert collab.observations_needed() < plain.observations_needed()

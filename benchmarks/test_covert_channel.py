@@ -5,24 +5,13 @@ bits to a coresident attacker by modulating load.  This benchmark
 measures the channel's bit error rate with and without StopWatch.
 """
 
-from repro.analysis import format_table
-from repro.attacks import run_covert_channel
+from repro.analysis.experiments import covert_channel_ber, render_covert
 
 
 def test_covert_channel(benchmark, save_result):
-    def run_both():
-        baseline = run_covert_channel(mediated=False, n_bits=24)
-        stopwatch = run_covert_channel(mediated=True, n_bits=24)
-        return baseline, stopwatch
-
-    baseline, stopwatch = benchmark.pedantic(run_both, rounds=1,
-                                             iterations=1)
-    rows = [
-        ("unmodified Xen", baseline.bit_error_rate),
-        ("StopWatch", stopwatch.bit_error_rate),
-        ("random guessing", 0.5),
-    ]
-    save_result("covert_channel_ber.txt", format_table(
-        ["condition", "bit error rate"], rows))
+    result = benchmark.pedantic(covert_channel_ber, kwargs={"bits": 24},
+                                rounds=1, iterations=1)
+    baseline, stopwatch = result["baseline"], result["stopwatch"]
+    save_result("covert_channel_ber.txt", render_covert(result))
     assert baseline.bit_error_rate <= 0.2
     assert stopwatch.bit_error_rate >= 0.25

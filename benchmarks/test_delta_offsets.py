@@ -7,7 +7,9 @@ simulator: ingress-arrival -> guest-delivery for network interrupts,
 request -> delivery for disk interrupts.
 """
 
-from repro.analysis import delta_offset_translation, format_table, summarize
+from repro.analysis import summarize
+from repro.analysis.experiments import (delta_offset_translation,
+                                        render_offsets)
 
 
 def test_delta_offsets(benchmark, save_result):
@@ -16,12 +18,6 @@ def test_delta_offsets(benchmark, save_result):
                                 rounds=1, iterations=1)
     net = summarize([d * 1000 for d in result["net_delays"]])
     disk = summarize([d * 1000 for d in result["disk_delays"]])
-    save_result("sec7a_delta_offsets.txt", format_table(
-        ["offset", "events", "mean ms", "min ms", "max ms",
-         "paper range"],
-        [("delta_n (network)", net["count"], net["mean"], net["min"],
-          net["max"], "7-12 ms"),
-         ("delta_d (disk)", disk["count"], disk["mean"], disk["min"],
-          disk["max"], "8-15 ms")]))
+    save_result("sec7a_delta_offsets.txt", render_offsets(result))
     assert 6.0 < net["mean"] < 16.0
     assert 7.0 < disk["mean"] < 18.0

@@ -9,10 +9,11 @@ median takes close to an order of magnitude more observations; the
 λ'=10/11 case needs far more observations than λ'=1/2 overall.
 """
 
-from repro.analysis import (
+from repro.analysis import format_table
+from repro.analysis.experiments import (
     fig1_median_cdfs,
     fig1_observation_curves,
-    format_table,
+    render_fig1,
 )
 
 CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
@@ -33,8 +34,8 @@ def test_fig1b_observations_half(benchmark, save_result):
         fig1_observation_curves,
         kwargs={"victim_rate": 0.5, "confidences": CONFIDENCES},
         rounds=1, iterations=1)
-    save_result("fig1b_observations_lambda_half.txt", format_table(
-        ["confidence", "w/o StopWatch", "w/ StopWatch"], rows))
+    save_result("fig1b_observations_lambda_half.txt",
+                render_fig1(rows, victim_rate=0.5))
     for _, without_sw, with_sw in rows:
         assert with_sw >= 4 * without_sw
 
@@ -44,8 +45,8 @@ def test_fig1c_observations_ten_elevenths(benchmark, save_result):
         fig1_observation_curves,
         kwargs={"victim_rate": 10.0 / 11.0, "confidences": CONFIDENCES},
         rounds=1, iterations=1)
-    save_result("fig1c_observations_lambda_10_11.txt", format_table(
-        ["confidence", "w/o StopWatch", "w/ StopWatch"], rows))
+    save_result("fig1c_observations_lambda_10_11.txt",
+                render_fig1(rows, victim_rate=10.0 / 11.0))
     for _, without_sw, with_sw in rows:
         assert with_sw > without_sw
         assert without_sw > 100  # much harder than the λ'=1/2 case

@@ -13,7 +13,8 @@ observations than without StopWatch.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.attacks import run_clock_probe
+from repro.analysis.experiments import (fig4_empirical_detection,
+                                        fig4_rows, render_fig4)
 
 CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 DURATION = 30.0
@@ -36,24 +37,19 @@ def _cdf_rows(result, points=12):
 
 
 def test_fig4_stopwatch_vs_baseline(benchmark, save_result):
-    def run():
-        with_sw = run_clock_probe(policy="stopwatch", duration=DURATION)
-        without_sw = run_clock_probe(policy="none", duration=DURATION)
-        return with_sw, without_sw
-
-    with_sw, without_sw = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        fig4_empirical_detection,
+        kwargs={"duration": DURATION, "confidences": CONFIDENCES},
+        rounds=1, iterations=1)
+    with_sw = result["stopwatch"]
 
     save_result("fig4a_median_cdf_stopwatch.txt", format_table(
         ["inter-packet ms", "CDF no victim (3 baselines)",
          "CDF victim coresident (2 baselines + victim)"],
         _cdf_rows(with_sw)))
 
-    sw_curve = with_sw.detection_curve(CONFIDENCES)
-    base_curve = without_sw.detection_curve(CONFIDENCES)
-    rows = [(c, base_n, sw_n)
-            for (c, base_n), (_, sw_n) in zip(base_curve, sw_curve)]
-    save_result("fig4b_observations.txt", format_table(
-        ["confidence", "w/o StopWatch", "w/ StopWatch"], rows))
+    rows = fig4_rows(result)
+    save_result("fig4b_observations.txt", render_fig4(result))
 
     for _, base_n, sw_n in rows:
         assert sw_n >= 4 * base_n

@@ -9,7 +9,7 @@ baselines at >= 100 KB; baseline UDP is comparable to baseline TCP
 (within a factor of two).
 """
 
-from repro.analysis import fig5_file_download, format_table
+from repro.analysis.experiments import fig5_file_download, render_fig5
 
 SIZES = (1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 
@@ -18,12 +18,7 @@ def test_fig5_file_download(benchmark, save_result):
     rows = benchmark.pedantic(fig5_file_download,
                               kwargs={"sizes": SIZES, "trials": 1},
                               rounds=1, iterations=1)
-    rendered = [(size, hb * 1000, hs * 1000, ub * 1000, us * 1000,
-                 hs / hb, us / ub)
-                for size, hb, hs, ub, us in rows]
-    save_result("fig5_file_download.txt", format_table(
-        ["size B", "HTTP base ms", "HTTP SW ms", "UDP base ms",
-         "UDP SW ms", "HTTP ratio", "UDP ratio"], rendered))
+    save_result("fig5_file_download.txt", render_fig5(rows))
 
     by_size = {size: (hb, hs, ub, us) for size, hb, hs, ub, us in rows}
     http_ratios = []

@@ -8,7 +8,7 @@ and growing only mildly with offered load; client-to-server packets per
 operation *decrease* as load rises (request/ACK coalescing).
 """
 
-from repro.analysis import fig6_nfs, format_table
+from repro.analysis.experiments import fig6_nfs, render_fig6
 
 RATES = (25, 50, 100, 200, 400)
 
@@ -16,12 +16,7 @@ RATES = (25, 50, 100, 200, 400)
 def test_fig6_nfs(benchmark, save_result):
     rows = benchmark.pedantic(fig6_nfs, kwargs={"rates": RATES},
                               rounds=1, iterations=1)
-    rendered = [(rate, base * 1000, sw * 1000, sw / base, c2s, s2c)
-                for rate, base, sw, c2s, s2c, _ in rows]
-    save_result("fig6a_nfs_latency.txt", format_table(
-        ["ops/s", "baseline ms/op", "StopWatch ms/op", "ratio",
-         "SW client->server pkts/op", "SW server->client pkts/op"],
-        rendered))
+    save_result("fig6a_nfs_latency.txt", render_fig6(rows))
 
     for rate, base, sw, c2s, s2c, _ in rows:
         assert sw > base

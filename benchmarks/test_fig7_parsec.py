@@ -8,23 +8,16 @@ absolute overhead correlates directly with the number of disk
 interrupts.
 """
 
-from repro.analysis import (
+from repro.analysis.experiments import (
     PARSEC_PAPER_VALUES,
     fig7_parsec,
-    format_table,
+    render_fig7,
 )
 
 
 def test_fig7_parsec(benchmark, save_result):
     rows = benchmark.pedantic(fig7_parsec, rounds=1, iterations=1)
-    rendered = [
-        (name, base * 1000, sw * 1000, sw / base, ints,
-         paper_base * 1000, paper_sw * 1000, paper_ints)
-        for name, base, sw, ints, paper_base, paper_sw, paper_ints in rows
-    ]
-    save_result("fig7_parsec.txt", format_table(
-        ["kernel", "base ms", "SW ms", "ratio", "disk ints",
-         "paper base ms", "paper SW ms", "paper ints"], rendered))
+    save_result("fig7_parsec.txt", render_fig7(rows))
 
     overheads = {}
     for name, base, sw, ints, _, _, paper_ints in rows:

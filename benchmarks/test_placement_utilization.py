@@ -8,7 +8,8 @@ Shape expectations (paper): Θ(cn) guest VMs for capacity c <= (n-1)/2 --
 a quadratic improvement over isolation's n.
 """
 
-from repro.analysis import format_table, placement_utilization
+from repro.analysis.experiments import (placement_utilization,
+                                        render_placement)
 from repro.placement import (
     PlacementScheduler,
     node_visit_counts,
@@ -23,9 +24,7 @@ def test_placement_utilization_table(benchmark, save_result):
     rows = benchmark.pedantic(placement_utilization,
                               kwargs={"points": POINTS},
                               rounds=1, iterations=1)
-    save_result("sec8_placement_utilization.txt", format_table(
-        ["machines n", "capacity c", "StopWatch VMs", "isolation VMs",
-         "Thm 1 bound", "c*n/3"], rows))
+    save_result("sec8_placement_utilization.txt", render_placement(rows))
     for machines, capacity, stopwatch, isolation, bound, theta in rows:
         assert stopwatch > isolation
         assert stopwatch <= bound

@@ -12,7 +12,7 @@ Shows the paper's two Sec. VII-C findings:
 Run:  python examples/file_download.py   (~1 minute)
 """
 
-from repro.analysis import fig5_file_download, format_table
+from repro.analysis.experiments import fig5_file_download, render_fig5
 
 SIZES = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -20,16 +20,7 @@ SIZES = (1_000, 10_000, 100_000, 1_000_000)
 def main() -> None:
     print(f"Downloading files of {len(SIZES)} sizes under four "
           f"configurations (baseline/StopWatch x HTTP/UDP)...")
-    rows = fig5_file_download(sizes=SIZES, trials=1)
-    rendered = [
-        (f"{size // 1000} KB", http_base * 1000, http_sw * 1000,
-         http_sw / http_base, udp_base * 1000, udp_sw * 1000,
-         udp_sw / udp_base)
-        for size, http_base, http_sw, udp_base, udp_sw in rows
-    ]
-    print(format_table(
-        ["file", "HTTP base ms", "HTTP StopWatch ms", "HTTP ratio",
-         "UDP base ms", "UDP StopWatch ms", "UDP ratio"], rendered))
+    print(render_fig5(fig5_file_download(sizes=SIZES, trials=1)))
     print("\nNote how the HTTP ratio stays bounded near ~3x and falls "
           "with file size\n(the paper reports <2.8x for >= 100 KB), "
           "while UDP+NAK over StopWatch\napproaches baseline speed.")

@@ -8,7 +8,7 @@ offered rates, under both unmodified Xen and StopWatch.
 Run:  python examples/nfs_service.py   (~30 seconds)
 """
 
-from repro.analysis import fig6_nfs, format_table
+from repro.analysis.experiments import fig6_nfs, render_fig6
 
 RATES = (25, 100, 400)
 
@@ -17,14 +17,7 @@ def main() -> None:
     print("nhfsstone against a StopWatch-replicated NFS server")
     print(f"(operation mix: 32% read, 24% lookup, 12% write, "
           f"12% create, 11% setattr, 8% getattr)")
-    rows = fig6_nfs(rates=RATES, duration=6.0)
-    rendered = [
-        (rate, base * 1000, sw * 1000, sw / base, sw_c2s, sw_s2c)
-        for rate, base, sw, sw_c2s, sw_s2c, _ in rows
-    ]
-    print(format_table(
-        ["ops/s", "baseline ms/op", "StopWatch ms/op", "ratio",
-         "client->server pkts/op", "server->client pkts/op"], rendered))
+    print(render_fig6(fig6_nfs(rates=RATES, duration=6.0)))
     print("\nThe overhead stays bounded as load rises because inbound "
           "packet deliveries\npipeline, and client->server packets per "
           "op fall (request/ACK coalescing) --\nthe paper's Fig. 6(b) "

@@ -9,7 +9,8 @@ in isolation.
 Run:  python examples/placement_planning.py
 """
 
-from repro.analysis import format_table, placement_utilization
+from repro.analysis.experiments import (placement_utilization,
+                                        render_placement)
 from repro.placement import (
     PlacementError,
     PlacementScheduler,
@@ -51,11 +52,8 @@ def main() -> None:
           f"{max_triangle_packing_size(15)})")
 
     # -- the scaling table (Sec. VIII's Θ(cn) claim) -----------------------
-    print("\nUtilisation scaling:")
-    rows = placement_utilization()
-    print(format_table(
-        ["machines n", "capacity c", "StopWatch VMs", "isolation VMs",
-         "Thm 1 bound", "c*n/3"], rows))
+    print()
+    print(render_placement(placement_utilization()))
 
 
 if __name__ == "__main__":

@@ -4,12 +4,17 @@ Each function is self-contained: it builds its own simulator(s), runs the
 experiment, and returns rows of plain data.  The pytest-benchmark
 targets under ``benchmarks/`` call these with reduced durations; the
 examples call them with fuller settings.
+
+Each paper figure's runner has a ``render_*`` function next to it that
+turns its result into the text ``repro <figure>`` prints; the CLI, the
+benchmarks and the examples all print through it.
 """
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.analysis.observe import (mediation_delay_metrics,
+                                    run_observed_workload)
+from repro.analysis.report import format_table, summarize
 from repro.cloud.fabric import Cloud
 from repro.core.config import StopWatchConfig, DEFAULT, PASSTHROUGH
 from repro.sim.kernel import Simulator
@@ -57,6 +62,9 @@ CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 #: cheap (category-indexed) and this bounds memory on long runs
 TRACE_CAP = 65_536
 
+#: Fig. 1(b)/(c) and Fig. 4(b) share one table: observations to detect
+_DETECTION_HEADERS = ("confidence", "w/o StopWatch", "w/ StopWatch")
+
 
 # ---------------------------------------------------------------------------
 # Fig. 1 -- analytic median justification
@@ -99,6 +107,12 @@ def fig1_observation_curves(victim_rate: float = 0.5,
     return rows
 
 
+def render_fig1(rows, victim_rate: float = 0.5, **_) -> str:
+    return (f"Fig. 1: observations to detect victim "
+            f"(lambda'={victim_rate})\n"
+            + format_table(_DETECTION_HEADERS, rows))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 4 -- empirical detection on the simulator
 # ---------------------------------------------------------------------------
@@ -119,6 +133,18 @@ def fig4_empirical_detection(duration: float = 30.0, seed: int = 7,
         "curve_stopwatch": with_sw.detection_curve(confidences),
         "curve_baseline": without_sw.detection_curve(confidences),
     }
+
+
+def fig4_rows(result: dict) -> List[tuple]:
+    """Fig. 4(b) rows: (confidence, obs w/o StopWatch, obs w/ StopWatch)."""
+    return [(c, base_n, sw_n)
+            for (c, base_n), (_, sw_n)
+            in zip(result["curve_baseline"], result["curve_stopwatch"])]
+
+
+def render_fig4(result: dict, **_) -> str:
+    return ("Fig. 4: empirical coresidence detection\n"
+            + format_table(_DETECTION_HEADERS, fig4_rows(result)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +198,14 @@ def fig5_file_download(sizes: Sequence[int] = (1_000, 10_000, 100_000,
     return rows
 
 
+def render_fig5(rows, **_) -> str:
+    rendered = [(s, hb * 1000, hs * 1000, hs / hb, ub * 1000, us * 1000,
+                 us / ub) for s, hb, hs, ub, us in rows]
+    return ("Fig. 5: file-retrieval latency (ms)\n"
+            + format_table(["size B", "HTTP base", "HTTP SW", "ratio",
+                            "UDP base", "UDP SW", "ratio"], rendered))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 6 -- NFS / nhfsstone
 # ---------------------------------------------------------------------------
@@ -205,6 +239,14 @@ def fig6_nfs(rates: Sequence[int] = (25, 50, 100, 200, 400),
             cells["base"][1][0],
         ))
     return rows
+
+
+def render_fig6(rows, **_) -> str:
+    rendered = [(r, b * 1000, s * 1000, s / b, c2s, s2c)
+                for r, b, s, c2s, s2c, _ in rows]
+    return ("Fig. 6: NFS / nhfsstone\n"
+            + format_table(["ops/s", "base ms/op", "SW ms/op", "ratio",
+                            "c->s pkts/op", "s->c pkts/op"], rendered))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +287,15 @@ def fig7_parsec(kernels: Optional[Sequence[str]] = None,
     return rows
 
 
+def render_fig7(rows, **_) -> str:
+    rendered = [(n, b * 1000, s * 1000, s / b, i, pb * 1000, ps * 1000, pi)
+                for n, b, s, i, pb, ps, pi in rows]
+    return ("Fig. 7: PARSEC kernels\n"
+            + format_table(["kernel", "base ms", "SW ms", "ratio", "ints",
+                            "paper base", "paper SW", "paper ints"],
+                           rendered))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 8 -- noise comparison
 # ---------------------------------------------------------------------------
@@ -259,6 +310,21 @@ def fig8_noise_comparison(victim_rate: float = 0.5,
                                   targets=(100, 400, 1600, 6400),
                                   attacker=attacker)
     return {"table": table, "curve": curve}
+
+
+def render_fig8(result: dict, victim_rate: float = 0.5, **_) -> str:
+    rows = [(r.confidence, r.observations, r.noise_bound,
+             r.stopwatch_delay_baseline, r.noise_delay_baseline)
+            for r in result["table"]]
+    curve = [(p.target_observations, p.noise_bound, p.noise_delay,
+              p.stopwatch_delay) for p in result["curve"]]
+    return "\n".join([
+        f"Fig. 8: StopWatch vs uniform noise (lambda'={victim_rate})",
+        format_table(["confidence", "obs", "noise b", "E[SW delay]",
+                      "E[noise delay]"], rows),
+        "\nProtection-cost scaling:",
+        format_table(["target obs", "noise b", "noise delay", "SW delay"],
+                     curve)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,49 +343,88 @@ def placement_utilization(points: Sequence[Tuple[int, int]] = (
     return rows
 
 
+def render_placement(rows, **_) -> str:
+    return ("Sec. VIII: placement utilisation\n"
+            + format_table(["machines", "capacity", "StopWatch VMs",
+                            "isolation", "Thm1 bound", "c*n/3"], rows))
+
+
 # ---------------------------------------------------------------------------
 # Sec. VII-A -- Δn / Δd real-time translation
 # ---------------------------------------------------------------------------
 def delta_offset_translation(duration: float = 10.0,
                              seed: int = 5) -> dict:
     """Measure what Δn and Δd translate to in real time (paper: ~7-12 ms
-    and ~8-15 ms respectively)."""
-    from repro.workloads.echo import EchoServer, PingClient
-    from repro.workloads.parsec import BlackScholes
+    and ~8-15 ms respectively), on the ``repro trace``/``metrics``
+    echo + BlackScholes cloud."""
+    sim, _ = run_observed_workload(
+        duration=duration, seed=seed,
+        categories={"ingress.replicate", "vmm.deliver", "vmm.disk.request"},
+        max_per_category=TRACE_CAP)
+    samples = mediation_delay_metrics(sim.trace,
+                                      max_samples=TRACE_CAP).samples
+    return {"net_delays": samples["delay.net"],
+            "disk_delays": samples["delay.disk"]}
 
-    sim = Simulator(seed=seed, trace=Trace(
-        categories={"ingress.replicate", "vmm.deliver",
-                    "vmm.disk.request"},
-        max_per_category=TRACE_CAP))
-    cloud = Cloud(sim, machines=3, config=DEFAULT,
-                  host_kwargs=PERF_HOST_KWARGS)
-    cloud.create_vm("echo", EchoServer)
-    cloud.create_vm("compute", lambda guest: BlackScholes(guest),
-                    hosts=[0, 1, 2])
-    client = cloud.add_client("client:1")
-    pinger = PingClient(client, "vm:echo", mean_interval=0.015)
-    sim.call_after(0.05, pinger.start)
-    cloud.run(until=duration)
 
-    arrivals = {r.payload["seq"]: r.time
-                for r in sim.trace.select("ingress.replicate", vm="echo")}
-    net_delays = []
-    for record in sim.trace.select("vmm.deliver.net", vm="echo",
-                                   replica=0):
-        seq = record.payload["seq"]
-        if seq in arrivals:
-            net_delays.append(record.time - arrivals[seq])
+def render_offsets(result: dict, **_) -> str:
+    rows = []
+    for label, key in (("delta_n", "net_delays"),
+                       ("delta_d", "disk_delays")):
+        ms = summarize([d * 1000 for d in result[key]])
+        rows.append((label, ms["count"], ms["mean"], ms["min"], ms["max"],
+                     ms["p50"], ms["p95"], ms["p99"]))
+    return ("Sec. VII-A: real-time translation of the virtual offsets\n"
+            + format_table(["offset", "events", "mean ms", "min ms",
+                            "max ms", "p50 ms", "p95 ms", "p99 ms"], rows))
 
-    requests = {r.payload["req"]: r.time
-                for r in sim.trace.select("vmm.disk.request", vm="compute",
-                                          replica=0)}
-    disk_delays = []
-    for record in sim.trace.select("vmm.deliver.disk", vm="compute",
-                                   replica=0):
-        req = record.payload["req"]
-        if req in requests:
-            disk_delays.append(record.time - requests[req])
-    return {"net_delays": net_delays, "disk_delays": disk_delays}
+
+# ---------------------------------------------------------------------------
+# Sec. I -- timing covert channel
+# ---------------------------------------------------------------------------
+def covert_channel_ber(bits: int = 24, seed: int = 11) -> dict:
+    """The Trojan covert channel without and with StopWatch:
+    ``{"baseline": ..., "stopwatch": ...}`` covert-channel results."""
+    from repro.attacks.covert import run_covert_channel
+
+    return {"baseline": run_covert_channel(mediated=False, n_bits=bits,
+                                           seed=seed),
+            "stopwatch": run_covert_channel(mediated=True, n_bits=bits,
+                                            seed=seed)}
+
+
+def render_covert(result: dict, **_) -> str:
+    return "\n".join(
+        f"{label}: BER = {result[key].bit_error_rate:.2f}"
+        for label, key in (("unmodified Xen", "baseline"),
+                           ("StopWatch", "stopwatch")))
+
+
+# ---------------------------------------------------------------------------
+# Sec. IX -- collaborating attackers
+# ---------------------------------------------------------------------------
+#: (replicas, collaborator present) for each Sec. IX condition
+COLLAB_CONDITIONS = ((3, False), (3, True), (5, True))
+
+
+def collaborating_attackers(duration: float = 15.0,
+                            seed: int = 13) -> list:
+    """One collaborating-attacker result per :data:`COLLAB_CONDITIONS`
+    entry, in that order."""
+    from repro.attacks.collab import run_collab_experiment
+
+    return [run_collab_experiment(replicas=replicas,
+                                  collaborator=collaborator,
+                                  duration=duration, seed=seed)
+            for replicas, collaborator in COLLAB_CONDITIONS]
+
+
+def render_collab(results: list, **_) -> str:
+    rows = [(f"{r.replicas} replicas, "
+             f"{'with' if r.collaborator else 'no'} collaborator",
+             r.observations_needed()) for r in results]
+    return ("Sec. IX: collaborating attackers\n"
+            + format_table(["condition", "obs to detect @95%"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -437,55 +542,49 @@ RUNNERS: Dict[str, Callable] = {
     "fig8_noise_comparison": fig8_noise_comparison,
     "placement_utilization": placement_utilization,
     "delta_offset_translation": delta_offset_translation,
+    "covert_channel_ber": covert_channel_ber,
+    "collaborating_attackers": collaborating_attackers,
     "aggregation_ablation": aggregation_ablation,
     "delta_n_ablation": delta_n_ablation,
     "epoch_resync_ablation": epoch_resync_ablation,
 }
 
+#: runner name -> the renderer that prints its result as the paper
+#: figure; ``repro <figure>`` dispatches through these two tables
+RENDERERS: Dict[str, Callable[..., str]] = {
+    "fig1_observation_curves": render_fig1,
+    "fig4_empirical_detection": render_fig4,
+    "fig5_file_download": render_fig5,
+    "fig6_nfs": render_fig6,
+    "fig7_parsec": render_fig7,
+    "fig8_noise_comparison": render_fig8,
+    "placement_utilization": render_placement,
+    "delta_offset_translation": render_offsets,
+    "covert_channel_ber": render_covert,
+    "collaborating_attackers": render_collab,
+}
 
-def _register_flow_runner() -> None:
-    # analysis.flows imports observe -> experiments, so register lazily
-    # to keep module import acyclic
+
+def _register_late_runners() -> None:
+    # runners from the sibling analysis modules, imported last so that
+    # those modules may import this one
     from repro.analysis.flows import flow_stage_latency
-
-    RUNNERS["flow_stage_latency"] = flow_stage_latency
-
-
-def _register_scale_runner() -> None:
     from repro.analysis.scale import scale_sweep
-
-    RUNNERS["scale_sweep"] = scale_sweep
-
-
-def _register_bench_runner() -> None:
     from repro.analysis.benchkernel import run_kernel_bench
-
-    RUNNERS["kernel_bench"] = run_kernel_bench
-
-
-def _register_chaos_runner() -> None:
     from repro.analysis.chaos import run_chaos_cell
-
-    RUNNERS["chaos_cell"] = run_chaos_cell
-
-
-def _register_storage_runner() -> None:
     from repro.analysis.storage import run_storage_repair_cell
-
-    RUNNERS["storage_repair"] = run_storage_repair_cell
-
-
-def _register_mitigation_runner() -> None:
     from repro.analysis.mitigation import (mitigation_frontier,
                                            run_mitigation_cell)
 
-    RUNNERS["mitigation_cell"] = run_mitigation_cell
-    RUNNERS["mitigation_frontier"] = mitigation_frontier
+    RUNNERS.update({
+        "flow_stage_latency": flow_stage_latency,
+        "scale_sweep": scale_sweep,
+        "kernel_bench": run_kernel_bench,
+        "chaos_cell": run_chaos_cell,
+        "storage_repair": run_storage_repair_cell,
+        "mitigation_cell": run_mitigation_cell,
+        "mitigation_frontier": mitigation_frontier,
+    })
 
 
-_register_flow_runner()
-_register_scale_runner()
-_register_bench_runner()
-_register_chaos_runner()
-_register_storage_runner()
-_register_mitigation_runner()
+_register_late_runners()

@@ -60,14 +60,15 @@ def trace_category_rows(trace: Trace) -> list:
             for category, retained in trace.counts().items()]
 
 
-def mediation_delay_metrics(trace: Trace) -> MetricSet:
+def mediation_delay_metrics(trace: Trace,
+                            max_samples: int = 4096) -> MetricSet:
     """Derive the Sec. VII-A mediation-delay observations from a trace.
 
     ``delay.net`` is ingress arrival -> replica-0 delivery (Δn in real
     time); ``delay.disk`` is disk request -> delivery (Δd).  Values are
-    seconds.
+    seconds, the first ``max_samples`` of each kept in record order.
     """
-    metrics = MetricSet()
+    metrics = MetricSet(max_samples_per_metric=max_samples)
     arrivals = {r.payload.get("seq"): r.time
                 for r in trace.iter_records("ingress.replicate")}
     for record in trace.iter_records("vmm.deliver.net", replica=0):

@@ -183,13 +183,18 @@ def compare_entry(entry: Dict[str, Any], trajectory: Dict[str, Any],
     """Gate ``entry`` against the trajectory's history.
 
     Returns ``{"ok", "checked", "problems", "detail", ...}``; ``ok`` is
-    False when the primary metric regressed beyond ``tolerance`` vs the
+    False when the run recorded its own failure (``metrics["ok"]`` is
+    False), the primary metric regressed beyond ``tolerance`` vs the
     best comparable prior entry, or the egress signature changed vs the
-    most recent comparable one.  With no comparable history the gate
-    passes vacuously (``checked=False``).
+    most recent comparable one.  With no comparable history the
+    history checks pass vacuously (``checked=False``).
     """
     priors = comparable_entries(trajectory, entry)
     problems: List[str] = []
+    if entry.get("metrics", {}).get("ok") is False:
+        problems.append(f"the run itself failed: ok=False "
+                        f"({entry.get('benchmark')!r} recorded its own "
+                        f"invariant/gate verdict as failing)")
     detail: List[str] = []
     checked = False
     metric = entry.get("primary_metric")

@@ -17,6 +17,7 @@ Usage::
     python -m repro spans   [--perfetto out.json] [--validate]
     python -m repro flows   [--flow echo/3] [--top-k 10]
     python -m repro chaos   [--check-determinism] [--crash-at 0.9]
+    python -m repro chaos campaign [--seeds 7] [--output BENCH_chaos.json]
     python -m repro mitigate [--policies none,stopwatch] [--attacks probe]
     python -m repro scale   [--tenants 1,8,32] [--shards 2] [--spec s.toml]
     python -m repro bench run --benchmark kernel.scale32 [--profile]
@@ -30,6 +31,7 @@ Usage::
 """
 
 import argparse
+import json
 import sys
 from typing import List
 
@@ -51,119 +53,52 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_fig1(args) -> None:
-    from repro.analysis import fig1_observation_curves, format_table
-    rows = fig1_observation_curves(victim_rate=args.victim_rate)
-    print(f"Fig. 1: observations to detect victim "
-          f"(lambda'={args.victim_rate})")
-    print(format_table(["confidence", "w/o StopWatch", "w/ StopWatch"],
-                       rows))
+def _names(text):
+    return text.split(",") if text else None
 
 
-def cmd_fig4(args) -> None:
-    from repro.analysis import fig4_empirical_detection, format_table
-    result = fig4_empirical_detection(duration=args.duration)
-    rows = [(c, base_n, sw_n)
-            for (c, base_n), (_, sw_n)
-            in zip(result["curve_baseline"], result["curve_stopwatch"])]
-    print("Fig. 4: empirical coresidence detection")
-    print(format_table(["confidence", "w/o StopWatch", "w/ StopWatch"],
-                       rows))
+#: figure subcommand -> (runner in ``analysis.experiments.RUNNERS``,
+#: help, flags); each flag's dest is the runner keyword it sets, and
+#: the runner's renderer prints the result
+FIGURES = {
+    "fig1": ("fig1_observation_curves", "analytic median justification",
+             {"--victim-rate": {"type": float, "default": 0.5}}),
+    "fig4": ("fig4_empirical_detection", "empirical coresidence detection",
+             {"--duration": {"type": float, "default": 30.0}}),
+    "fig5": ("fig5_file_download", "file-download latency",
+             {"--sizes": {"default": "1000,10000,100000,1000000"}}),
+    "fig6": ("fig6_nfs", "NFS under nhfsstone",
+             {"--rates": {"default": "25,50,100,200,400"},
+              "--duration": {"type": float, "default": 8.0}}),
+    "fig7": ("fig7_parsec", "PARSEC kernels",
+             {"--kernels": {"default": None},
+              "--scale": {"type": float, "default": 1.0}}),
+    "fig8": ("fig8_noise_comparison", "StopWatch vs uniform noise",
+             {"--victim-rate": {"type": float, "default": 0.5}}),
+    "placement": ("placement_utilization", "Sec. VIII utilisation", {}),
+    "offsets": ("delta_offset_translation", "delta_n/delta_d translation",
+                {"--duration": {"type": float, "default": 10.0}}),
+    "covert": ("covert_channel_ber", "covert-channel BER",
+               {"--bits": {"type": int, "default": 24}}),
+    "collab": ("collaborating_attackers", "Sec. IX collaborating attackers",
+               {"--duration": {"type": float, "default": 15.0}}),
+}
+
+#: comma-separated figure flags -> the runner's list argument
+_LIST_FLAGS = {"sizes": _ints, "rates": _ints, "kernels": _names}
 
 
-def cmd_fig5(args) -> None:
-    from repro.analysis import fig5_file_download, format_table
-    rows = fig5_file_download(sizes=_ints(args.sizes))
-    rendered = [(s, hb * 1000, hs * 1000, hs / hb, ub * 1000, us * 1000,
-                 us / ub) for s, hb, hs, ub, us in rows]
-    print("Fig. 5: file-retrieval latency (ms)")
-    print(format_table(["size B", "HTTP base", "HTTP SW", "ratio",
-                        "UDP base", "UDP SW", "ratio"], rendered))
+def cmd_figure(args) -> None:
+    from repro.analysis.experiments import RENDERERS, RUNNERS
 
-
-def cmd_fig6(args) -> None:
-    from repro.analysis import fig6_nfs, format_table
-    rows = fig6_nfs(rates=_ints(args.rates), duration=args.duration)
-    rendered = [(r, b * 1000, s * 1000, s / b, c2s, s2c)
-                for r, b, s, c2s, s2c, _ in rows]
-    print("Fig. 6: NFS / nhfsstone")
-    print(format_table(["ops/s", "base ms/op", "SW ms/op", "ratio",
-                        "c->s pkts/op", "s->c pkts/op"], rendered))
-
-
-def cmd_fig7(args) -> None:
-    from repro.analysis import fig7_parsec, format_table
-    kernels = args.kernels.split(",") if args.kernels else None
-    rows = fig7_parsec(kernels=kernels, scale=args.scale)
-    rendered = [(n, b * 1000, s * 1000, s / b, i, pb * 1000, ps * 1000, pi)
-                for n, b, s, i, pb, ps, pi in rows]
-    print("Fig. 7: PARSEC kernels")
-    print(format_table(["kernel", "base ms", "SW ms", "ratio", "ints",
-                        "paper base", "paper SW", "paper ints"], rendered))
-
-
-def cmd_fig8(args) -> None:
-    from repro.analysis import fig8_noise_comparison, format_table
-    result = fig8_noise_comparison(victim_rate=args.victim_rate)
-    rows = [(r.confidence, r.observations, r.noise_bound,
-             r.stopwatch_delay_baseline, r.noise_delay_baseline)
-            for r in result["table"]]
-    print(f"Fig. 8: StopWatch vs uniform noise (lambda'="
-          f"{args.victim_rate})")
-    print(format_table(["confidence", "obs", "noise b", "E[SW delay]",
-                        "E[noise delay]"], rows))
-    curve = [(p.target_observations, p.noise_bound, p.noise_delay,
-              p.stopwatch_delay) for p in result["curve"]]
-    print("\nProtection-cost scaling:")
-    print(format_table(["target obs", "noise b", "noise delay",
-                        "SW delay"], curve))
-
-
-def cmd_placement(args) -> None:
-    from repro.analysis import format_table, placement_utilization
-    rows = placement_utilization()
-    print("Sec. VIII: placement utilisation")
-    print(format_table(["machines", "capacity", "StopWatch VMs",
-                        "isolation", "Thm1 bound", "c*n/3"], rows))
-
-
-def cmd_offsets(args) -> None:
-    from repro.analysis import (delta_offset_translation, format_table,
-                                summarize)
-    result = delta_offset_translation(duration=args.duration)
-    net = summarize([d * 1000 for d in result["net_delays"]])
-    disk = summarize([d * 1000 for d in result["disk_delays"]])
-    print("Sec. VII-A: real-time translation of the virtual offsets")
-    print(format_table(
-        ["offset", "events", "mean ms", "min ms", "max ms", "p50 ms",
-         "p95 ms", "p99 ms"],
-        [("delta_n", net["count"], net["mean"], net["min"], net["max"],
-          net["p50"], net["p95"], net["p99"]),
-         ("delta_d", disk["count"], disk["mean"], disk["min"],
-          disk["max"], disk["p50"], disk["p95"], disk["p99"])]))
-
-
-def cmd_covert(args) -> None:
-    from repro.attacks import run_covert_channel
-    for mediated in (False, True):
-        result = run_covert_channel(mediated=mediated, n_bits=args.bits)
-        label = "StopWatch" if mediated else "unmodified Xen"
-        print(f"{label}: BER = {result.bit_error_rate:.2f}")
-
-
-def cmd_collab(args) -> None:
-    from repro.analysis import format_table
-    from repro.attacks import run_collab_experiment
-    rows = []
-    for replicas, collab in ((3, False), (3, True), (5, True)):
-        result = run_collab_experiment(replicas=replicas,
-                                       collaborator=collab,
-                                       duration=args.duration)
-        rows.append((f"{replicas} replicas, "
-                     f"{'with' if collab else 'no'} collaborator",
-                     result.observations_needed()))
-    print("Sec. IX: collaborating attackers")
-    print(format_table(["condition", "obs to detect @95%"], rows))
+    runner, _, flags = FIGURES[args.command]
+    kwargs = {}
+    for flag in flags:
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name)
+        kwargs[name] = _LIST_FLAGS[name](value) if name in _LIST_FLAGS \
+            else value
+    print(RENDERERS[runner](RUNNERS[runner](**kwargs), **kwargs))
 
 
 def cmd_trace(args) -> None:
@@ -259,8 +194,6 @@ def cmd_spans(args) -> None:
                 raise SystemExit(1)
             print("Validation: PASS (parses, pid/tid/ts/dur present, "
                   "critical stages sum to end-to-end)")
-    elif args.validate:
-        raise SystemExit("--validate requires --perfetto OUT")
 
 
 def cmd_flows(args) -> None:
@@ -299,14 +232,10 @@ def cmd_flows(args) -> None:
 
 
 def cmd_chaos(args) -> None:
-    if args.mode == "campaign":
-        return cmd_chaos_campaign(args)
     from repro.analysis import format_table
     from repro.analysis.chaos import (chaos_signature, chaos_timeline_rows,
                                       default_schedule, determinism_check,
                                       run_chaos_experiment, service_summary)
-    if args.duration is None:
-        args.duration = 3.0
     schedule = default_schedule(crash_at=args.crash_at,
                                 restart_at=args.restart_at,
                                 replica=args.replica)
@@ -348,8 +277,6 @@ def cmd_chaos(args) -> None:
 
 
 def cmd_chaos_campaign(args) -> None:
-    import json
-
     from repro.analysis.chaos import (CELL_SCENARIOS, chaos_entry,
                                       run_chaos_campaign)
     from repro.bench.schema import append_entry
@@ -361,22 +288,19 @@ def cmd_chaos_campaign(args) -> None:
         raise SystemExit(f"unknown chaos scenarios {unknown}; "
                          f"choose from {list(CELL_SCENARIOS)}")
     seeds = [derive_root_seed(args.seed_base, i) for i in range(args.seeds)]
-    duration = args.duration if args.duration is not None else 6.0
     progress = None if args.json else print
     summary = run_chaos_campaign(seeds=seeds, scenarios=scenarios,
-                                 duration=duration, rate=args.rate,
+                                 duration=args.duration, rate=args.rate,
                                  jobs=args.jobs, profile=args.profile,
                                  progress=progress)
-    if args.profile_out:
-        if not summary.get("profile"):
-            raise SystemExit("--profile-out requires --profile")
+    if args.profile_out and summary["profile"]:
         from repro.prof.export import write_speedscope
         write_speedscope(args.profile_out, summary["profile"],
                          name="chaos campaign")
         if not args.json:
             print(f"wrote speedscope profile to {args.profile_out}")
     if args.output:
-        params = dict(vars(args), scenarios=scenarios, duration=duration)
+        params = dict(vars(args), scenarios=scenarios)
         append_entry(args.output,
                      chaos_entry(summary, params, label=args.label))
         if not args.json:
@@ -417,8 +341,6 @@ def cmd_chaos_campaign(args) -> None:
 
 
 def cmd_mitigate(args) -> None:
-    import json
-
     from repro.analysis import format_table
     from repro.analysis.mitigation import (ATTACK_NAMES,
                                            mitigation_entry,
@@ -526,8 +448,6 @@ def cmd_scale(args) -> None:
             write_speedscope(args.profile_out, merged, name="repro scale")
             print(f"wrote speedscope profile to {args.profile_out} "
                   f"(open in https://www.speedscope.app)")
-    elif args.profile_out:
-        raise SystemExit("--profile-out requires --profile")
 
     failed = False
     for row in rows:
@@ -597,8 +517,6 @@ def cmd_workloads(args) -> None:
 
 
 def cmd_storage(args) -> None:
-    import json
-
     from repro.analysis.storage import (run_storage_repair_cell,
                                         storage_entry)
     from repro.bench.schema import append_entry
@@ -647,9 +565,7 @@ def cmd_storage(args) -> None:
 
 def cmd_list(args) -> None:
     from repro.analysis.experiments import RUNNERS
-    print("Available experiments: fig1 fig4 fig5 fig6 fig7 fig8 "
-          "placement offsets covert collab trace metrics spans flows "
-          "chaos mitigate scale storage workloads bench campaign")
+    print("Available experiments: " + " ".join(args.commands))
     print("Campaign runners: " + " ".join(sorted(RUNNERS)))
 
 
@@ -660,46 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Li/Gao/Reiter, DSN 2013) on the simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", help="analytic median justification")
-    p.add_argument("--victim-rate", type=float, default=0.5)
-    p.set_defaults(fn=cmd_fig1)
-
-    p = sub.add_parser("fig4", help="empirical coresidence detection")
-    p.add_argument("--duration", type=float, default=30.0)
-    p.set_defaults(fn=cmd_fig4)
-
-    p = sub.add_parser("fig5", help="file-download latency")
-    p.add_argument("--sizes", default="1000,10000,100000,1000000")
-    p.set_defaults(fn=cmd_fig5)
-
-    p = sub.add_parser("fig6", help="NFS under nhfsstone")
-    p.add_argument("--rates", default="25,50,100,200,400")
-    p.add_argument("--duration", type=float, default=8.0)
-    p.set_defaults(fn=cmd_fig6)
-
-    p = sub.add_parser("fig7", help="PARSEC kernels")
-    p.add_argument("--kernels", default=None)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.set_defaults(fn=cmd_fig7)
-
-    p = sub.add_parser("fig8", help="StopWatch vs uniform noise")
-    p.add_argument("--victim-rate", type=float, default=0.5)
-    p.set_defaults(fn=cmd_fig8)
-
-    p = sub.add_parser("placement", help="Sec. VIII utilisation")
-    p.set_defaults(fn=cmd_placement)
-
-    p = sub.add_parser("offsets", help="delta_n/delta_d translation")
-    p.add_argument("--duration", type=float, default=10.0)
-    p.set_defaults(fn=cmd_offsets)
-
-    p = sub.add_parser("covert", help="covert-channel BER")
-    p.add_argument("--bits", type=int, default=24)
-    p.set_defaults(fn=cmd_covert)
-
-    p = sub.add_parser("collab", help="Sec. IX collaborating attackers")
-    p.add_argument("--duration", type=float, default=15.0)
-    p.set_defaults(fn=cmd_collab)
+    for command, (_, help_text, flags) in FIGURES.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("trace", help="record a traced run; summarize "
                                      "and export JSONL")
@@ -736,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="attribute CPU to subsystems; with --perfetto, "
                         "merge counter tracks into the span trace")
-    p.set_defaults(fn=cmd_spans)
+    p.set_defaults(fn=cmd_spans, requires={"validate": "perfetto"})
 
     p = sub.add_parser("flows", help="per-flow mediation-delay "
                                      "attribution (critical-path stages)")
@@ -752,14 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "under load; or 'chaos campaign': "
                                      "randomized invariant-gated storms "
                                      "across seeds x scenarios")
-    p.add_argument("mode", nargs="?", choices=["campaign"],
-                   help="omit for the single scripted run; 'campaign' "
-                        "sweeps seeded random storms and gates on "
-                        "placement/liveness/hygiene invariants")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per run (default: 3 for the "
-                        "scripted run, 6 per campaign cell)")
+    p.add_argument("--duration", type=float, default=3.0,
+                   help="simulated seconds")
     p.add_argument("--crash-at", type=float, default=0.9)
     p.add_argument("--restart-at", type=float, default=2.0)
     p.add_argument("--replica", type=int, default=2,
@@ -768,32 +644,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run twice with the same seed and compare "
                         "fault/recovery/heal/release signatures "
                         "(campaign cells always do this)")
+    p.set_defaults(fn=cmd_chaos)
+    p = p.add_subparsers(title="modes").add_parser(
+        "campaign", help="sweep seeded random storms and gate on "
+                         "placement/liveness/hygiene invariants; omit "
+                         "for the single scripted run")
+    p.add_argument("--duration", type=float, default=6.0,
+                   help="simulated seconds per cell")
     p.add_argument("--seeds", type=_positive_int, default=7,
-                   help="campaign: number of derived storm seeds")
+                   help="number of derived storm seeds")
     p.add_argument("--seed-base", type=int, default=101,
-                   help="campaign: base for seed derivation")
+                   help="base for seed derivation")
     p.add_argument("--scenarios", default=",".join(
                        ("single", "multi", "sharded")),
-                   help="campaign: comma-separated cell scenarios")
+                   help="comma-separated cell scenarios")
     p.add_argument("--rate", type=float, default=1.2,
-                   help="campaign: storm fault rate (faults/s)")
+                   help="storm fault rate (faults/s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="campaign: worker processes")
+                   help="worker processes")
     p.add_argument("--output", default=None, metavar="PATH",
-                   help="campaign: write the gate summary (e.g. "
-                        "BENCH_chaos.json), carrying the trajectory")
+                   help="write the gate summary (e.g. BENCH_chaos.json), "
+                        "carrying the trajectory")
     p.add_argument("--label", default="head",
-                   help="campaign: label recorded in --output")
+                   help="label recorded in --output")
     p.add_argument("--json", action="store_true",
-                   help="campaign: print the full summary as JSON")
+                   help="print the full summary as JSON")
     p.add_argument("--profile", action="store_true",
-                   help="campaign: profile each cell's primary run and "
-                        "report merged subsystem CPU attribution "
+                   help="profile each cell's primary run and report "
+                        "merged subsystem CPU attribution "
                         "(measurement-only)")
     p.add_argument("--profile-out", default=None, metavar="JSON",
-                   help="campaign: write the merged profile as "
-                        "speedscope JSON (requires --profile)")
-    p.set_defaults(fn=cmd_chaos)
+                   help="write the merged profile as speedscope JSON "
+                        "(requires --profile)")
+    p.set_defaults(fn=cmd_chaos_campaign,
+                   requires={"profile_out": "profile"})
 
     p = sub.add_parser("mitigate", help="leakage-vs-overhead frontier: "
                                         "mitigation policies x attack "
@@ -862,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-out", default=None, metavar="JSON",
                    help="write the profile as speedscope JSON "
                         "(requires --profile)")
-    p.set_defaults(fn=cmd_scale)
+    p.set_defaults(fn=cmd_scale, requires={"profile_out": "profile"})
 
     p = sub.add_parser("workloads", help="list the deployable workload "
                                          "registry: name, scope, "
@@ -909,13 +793,20 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.campaign.cli import add_campaign_parser
     add_campaign_parser(sub)
 
+    commands = list(sub.choices)
     p = sub.add_parser("list", help="list experiments")
-    p.set_defaults(fn=cmd_list)
+    p.set_defaults(fn=cmd_list, commands=commands)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # flag dependencies, checked before anything runs
+    for option, needed in getattr(args, "requires", {}).items():
+        if getattr(args, option) and not getattr(args, needed):
+            parser.error(f"--{option.replace('_', '-')} requires "
+                         f"--{needed}")
     args.fn(args)
     return 0
 

@@ -25,6 +25,8 @@ MINIMAL_KWARGS = {
     "fig8_noise_comparison": {"confidences": (0.7,)},
     "placement_utilization": {"points": ((9, 4),)},
     "delta_offset_translation": {"duration": 2.0},
+    "covert_channel_ber": {"bits": 2},
+    "collaborating_attackers": {"duration": 0.5},
     "aggregation_ablation": {"aggregations": ("median",),
                              "duration": 2.0},
     "delta_n_ablation": {"delta_ns": (0.01,), "duration": 1.5,

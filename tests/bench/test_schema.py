@@ -156,6 +156,19 @@ class TestGate:
         gate = compare_entry(entry(signature="a" * 64), history)
         assert gate["ok"] and gate["checked"]
 
+    def test_run_that_failed_its_own_verdict_fails(self):
+        def storm(ok, label="head"):
+            return make_entry("chaos.storm", CONFIG,
+                              {"replies": 100, "violations": 3, "ok": ok},
+                              primary_metric="replies", label=label)
+        history = self.trajectory(storm(True, label="base"))
+        gate = compare_entry(storm(False), history)
+        assert not gate["ok"]
+        assert "ok=False" in gate["problems"][0]
+        assert compare_entry(storm(True), history)["ok"]
+        # a failed first run has no history to compare, yet still fails
+        assert not compare_entry(storm(False), self.trajectory())["ok"]
+
     def test_lower_is_better_direction(self):
         def latency(value, label="head"):
             return make_entry("x", None, {"p95": value},
