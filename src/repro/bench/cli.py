@@ -88,17 +88,16 @@ def cmd_bench_run(args) -> None:
     path = args.output or default_path(args.benchmark)
     prior = load_trajectory(path) or empty_trajectory()
     gate = compare_entry(entry, prior, tolerance=args.tolerance)
+    if args.profile_out and not entry.get("profile"):
+        raise SystemExit(f"--profile-out: benchmark {args.benchmark!r} "
+                         f"produced no profile")
     if not args.no_write:
         append_entry(path, entry)
 
     if args.profile_out:
-        profile = entry.get("profile")
-        if not profile:
-            raise SystemExit(
-                f"--profile-out needs a profile; run with --profile "
-                f"(benchmark {args.benchmark!r} produced none)")
         from repro.prof.export import write_speedscope
-        write_speedscope(args.profile_out, profile, name=args.benchmark)
+        write_speedscope(args.profile_out, entry["profile"],
+                         name=args.benchmark)
 
     if args.json:
         print(json.dumps({"entry": entry, "gate": gate,
@@ -213,7 +212,8 @@ def add_bench_parser(sub) -> None:
                    help="attach a subsystem CPU profile to the entry "
                         "(measurement-only; never changes metrics)")
     r.add_argument("--profile-out", default=None, metavar="JSON",
-                   help="also write the profile as speedscope JSON")
+                   help="also write the profile as speedscope JSON "
+                        "(requires --profile)")
     r.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a benchmark parameter (repeatable; "
                         "values parse as JSON when possible)")
@@ -222,7 +222,7 @@ def add_bench_parser(sub) -> None:
     r.add_argument("--gate", action="store_true",
                    help="fail when there is no comparable history")
     r.add_argument("--json", action="store_true")
-    r.set_defaults(fn=cmd_bench_run)
+    r.set_defaults(fn=cmd_bench_run, requires={"profile_out": "profile"})
 
     c = bench_sub.add_parser("compare", help="re-gate the last recorded "
                                              "entry against its history")

@@ -57,6 +57,19 @@ def _names(text):
     return text.split(",") if text else None
 
 
+class _ScriptedOnly(argparse.Action):
+    """A flag of the single scripted ``repro chaos`` run.  It stores its
+    value as a plain flag would (with ``nargs=0``, its ``const``) and
+    notes its name, so that ``main`` can refuse it ahead of ``chaos
+    campaign``, whose own parser would otherwise silently drop it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest,
+                self.const if self.nargs == 0 else values)
+        namespace.scripted_only = (getattr(namespace, "scripted_only", ())
+                                   + (self.option_strings[0],))
+
+
 #: figure subcommand -> (runner in ``analysis.experiments.RUNNERS``,
 #: help, flags); each flag's dest is the runner keyword it sets, and
 #: the runner's renderer prints the result
@@ -633,14 +646,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      "under load; or 'chaos campaign': "
                                      "randomized invariant-gated storms "
                                      "across seeds x scenarios")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=7, action=_ScriptedOnly)
     p.add_argument("--duration", type=float, default=3.0,
-                   help="simulated seconds")
-    p.add_argument("--crash-at", type=float, default=0.9)
-    p.add_argument("--restart-at", type=float, default=2.0)
-    p.add_argument("--replica", type=int, default=2,
+                   action=_ScriptedOnly, help="simulated seconds")
+    p.add_argument("--crash-at", type=float, default=0.9,
+                   action=_ScriptedOnly)
+    p.add_argument("--restart-at", type=float, default=2.0,
+                   action=_ScriptedOnly)
+    p.add_argument("--replica", type=int, default=2, action=_ScriptedOnly,
                    help="echo replica id to crash")
-    p.add_argument("--check-determinism", action="store_true",
+    p.add_argument("--check-determinism", nargs=0, const=True,
+                   default=False, action=_ScriptedOnly,
                    help="run twice with the same seed and compare "
                         "fault/recovery/heal/release signatures "
                         "(campaign cells always do this)")
@@ -803,6 +819,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # flag dependencies, checked before anything runs
+    for flag in getattr(args, "scripted_only", ()):
+        if args.fn is not cmd_chaos:
+            parser.error(f"{flag} belongs to the scripted 'repro chaos' "
+                         f"run; 'chaos campaign' does not take it")
     for option, needed in getattr(args, "requires", {}).items():
         if getattr(args, option) and not getattr(args, needed):
             parser.error(f"--{option.replace('_', '-')} requires "

@@ -124,8 +124,20 @@ class Canneal(ParsecWorkload):
         self.nets = [(rng.randrange(self.ELEMENTS),
                       rng.randrange(self.ELEMENTS))
                      for _ in range(self.NETS)]
+        self.touching = self._incidence()
         self.temperature = 50.0
         self.cost = self._total_cost()
+
+    def _incidence(self) -> list:
+        """``touching[e]``: the indices of the nets with an end at element
+        ``e``, in netlist order; a net from ``e`` to itself is listed
+        once.  A swap then prices only the nets it moves."""
+        touching = [[] for _ in range(self.ELEMENTS)]
+        for n, (a, b) in enumerate(self.nets):
+            touching[a].append(n)
+            if b != a:
+                touching[b].append(n)
+        return touching
 
     def _wire_len(self, a: int, b: int) -> float:
         (x1, y1), (x2, y2) = self.positions[a], self.positions[b]
@@ -136,17 +148,20 @@ class Canneal(ParsecWorkload):
 
     def run_batch(self, index: int, total: int) -> None:
         rng = self.rng
+        nets = self.nets
         for _ in range(self.SWAPS_PER_BATCH):
             i = rng.randrange(self.ELEMENTS)
             j = rng.randrange(self.ELEMENTS)
             if i == j:
                 continue
-            before = sum(self._wire_len(a, b) for a, b in self.nets
-                         if a in (i, j) or b in (i, j))
+            # netlist order, each net once: the float sums match a
+            # full scan filtered on "an end at i or j" bit for bit
+            incident = [nets[n] for n in sorted(
+                set(self.touching[i]).union(self.touching[j]))]
+            before = sum(self._wire_len(a, b) for a, b in incident)
             self.positions[i], self.positions[j] = \
                 self.positions[j], self.positions[i]
-            after = sum(self._wire_len(a, b) for a, b in self.nets
-                        if a in (i, j) or b in (i, j))
+            after = sum(self._wire_len(a, b) for a, b in incident)
             delta = after - before
             if delta <= 0 or rng.random() < math.exp(
                     -delta / max(self.temperature, 1e-6)):

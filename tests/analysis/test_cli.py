@@ -223,6 +223,20 @@ class TestFlagChecks:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "3"], ["--duration", "1.5"], ["--crash-at", "1.5"],
+        ["--restart-at", "2.5"], ["--replica", "1"],
+        ["--check-determinism"]])
+    def test_campaign_refuses_scripted_flags(self, monkeypatch, capsys,
+                                             flags):
+        import repro.analysis.chaos as chaos
+        self._forbid(monkeypatch, chaos, "run_chaos_campaign")
+        with pytest.raises(SystemExit) as err:
+            main(["chaos", *flags, "campaign", "--seeds", "1"])
+        assert err.value.code == 2
+        assert f"{flags[0]} belongs to the scripted 'repro chaos' run" \
+            in capsys.readouterr().err
+
     def test_chaos_modes_keep_their_duration_defaults(self):
         parser = build_parser()
         assert parser.parse_args(["chaos"]).duration == 3.0

@@ -102,11 +102,31 @@ class TestBenchRunCommand:
         assert err.value.code == 1
         assert "none found" in capsys.readouterr().out
 
-    def test_profile_out_requires_profile(self, tmp_path, capsys):
-        with pytest.raises(SystemExit, match="--profile"):
+    def test_profile_out_requires_profile(self, tmp_path, capsys,
+                                          monkeypatch):
+        import repro.bench
+
+        def runner(*args, **kwargs):
+            raise AssertionError("benchmark ran despite invalid flags")
+        monkeypatch.setattr(repro.bench, "run_benchmark", runner)
+        path = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as err:
             run_cli("bench", "run", "--benchmark", "kernel.scale2",
-                    *RUN_SMALL, "--output", str(tmp_path / "b.json"),
+                    *RUN_SMALL, "--output", str(path),
                     "--profile-out", str(tmp_path / "p.json"))
+        assert err.value.code == 2
+        assert "--profile-out requires --profile" in \
+            capsys.readouterr().err
+        assert not path.exists()
+
+    def test_profileless_benchmark_appends_nothing(self, stub_runs,
+                                                   tmp_path):
+        path = tmp_path / "b.json"
+        with pytest.raises(SystemExit, match="produced no profile"):
+            run_cli("bench", "run", "--benchmark", "chaos.storm",
+                    "--output", str(path), "--profile",
+                    "--profile-out", str(tmp_path / "p.json"))
+        assert not path.exists()
 
     def test_profile_out_writes_valid_speedscope(self, tmp_path, capsys):
         from repro.prof.export import validate_speedscope_file

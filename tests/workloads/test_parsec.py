@@ -1,5 +1,6 @@
 """Tests for the PARSEC-style kernels."""
 
+import math
 import random
 
 import pytest
@@ -88,6 +89,90 @@ class TestKernelComputations:
     def test_kernels_deterministic_given_seed(self):
         for cls in PARSEC_KERNELS.values():
             assert _Bench.compute_only(cls) == _Bench.compute_only(cls)
+
+
+def full_scan_run_batch(kernel):
+    """Canneal's swap loop as it was before the netlist was indexed by
+    element: every swap scans all nets for the ones with an end at
+    either swapped element.  The exactness reference."""
+    rng = kernel.rng
+    for _ in range(kernel.SWAPS_PER_BATCH):
+        i = rng.randrange(kernel.ELEMENTS)
+        j = rng.randrange(kernel.ELEMENTS)
+        if i == j:
+            continue
+        before = sum(kernel._wire_len(a, b) for a, b in kernel.nets
+                     if a in (i, j) or b in (i, j))
+        kernel.positions[i], kernel.positions[j] = \
+            kernel.positions[j], kernel.positions[i]
+        after = sum(kernel._wire_len(a, b) for a, b in kernel.nets
+                    if a in (i, j) or b in (i, j))
+        delta = after - before
+        if delta <= 0 or rng.random() < math.exp(
+                -delta / max(kernel.temperature, 1e-6)):
+            kernel.cost += delta
+        else:
+            kernel.positions[i], kernel.positions[j] = \
+                kernel.positions[j], kernel.positions[i]
+    kernel.temperature *= 0.9
+
+
+class TinyCanneal(Canneal):
+    """A hand-built netlist over four elements holding every case the
+    incidence union must dedupe: self-loops, nets joining the two
+    swapped elements (so listed under both), and duplicate nets."""
+
+    ELEMENTS = 4
+    SWAPS_PER_BATCH = 50
+    NETS_BY_HAND = [(0, 0), (0, 1), (2, 3), (1, 0), (0, 1), (3, 3),
+                    (1, 2), (2, 3), (3, 0), (2, 2)]
+
+    def prepare(self) -> None:
+        rng = self.rng
+        self.positions = [(rng.uniform(0, 100), rng.uniform(0, 100))
+                          for _ in range(self.ELEMENTS)]
+        self.nets = list(self.NETS_BY_HAND)
+        self.touching = self._incidence()
+        self.temperature = 50.0
+        self.cost = self._total_cost()
+
+
+class TestCannealExactness:
+    """The element-indexed swap loop must reproduce the full scan bit
+    for bit: same nets summed in the same order, same rng draws."""
+
+    @staticmethod
+    def _pair(cls, seed):
+        kernels = []
+        for _ in range(2):
+            kernel = cls.__new__(cls)
+            kernel.guest = _Bench.FakeGuest(seed)
+            kernel.prepare()
+            kernels.append(kernel)
+        return kernels
+
+    @staticmethod
+    def _state(kernel):
+        return (kernel.cost, kernel.positions, kernel.temperature,
+                kernel.finish_result())
+
+    @pytest.mark.parametrize("cls, seed", [
+        (Canneal, 1), (Canneal, 2), (Canneal, 3), (Canneal, 99),
+        (TinyCanneal, 1), (TinyCanneal, 7)])
+    def test_indexed_swaps_match_full_scan(self, cls, seed):
+        indexed, reference = self._pair(cls, seed)
+        for i in range(Canneal.batches):
+            indexed.run_batch(i, Canneal.batches)
+            full_scan_run_batch(reference)
+        assert self._state(indexed) == self._state(reference)
+        assert indexed.rng.random() == reference.rng.random()
+
+    def test_incidence_lists_each_net_once_per_element(self):
+        kernel, _ = self._pair(TinyCanneal, 1)
+        assert kernel.touching == [[0, 1, 3, 4, 8],
+                                   [1, 3, 4, 6],
+                                   [2, 6, 7, 9],
+                                   [2, 5, 7, 8]]
 
 
 class TestKernelRuns:
